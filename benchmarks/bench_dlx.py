@@ -63,7 +63,7 @@ def run_case(kernel, n_cols, rows, max_solutions, repeat):
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
-        code, sols, nodes = kernel.solve(n_cols, rows, (), max_solutions, -1.0, False)
+        code, sols, nodes = kernel.solve(n_cols, rows, (), max_solutions, -1.0)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, len(sols), nodes

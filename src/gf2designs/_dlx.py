@@ -69,7 +69,7 @@ except OSError as exc:  # no compiler, unwritable cache, unloadable library
 _dlx_solve.argtypes = [
     ctypes.c_int, ctypes.c_int, _INTS, _INTS,  # columns, rows
     ctypes.c_int, _INTS, _INTS, _INTS,  # constraints
-    ctypes.c_longlong, ctypes.c_double, ctypes.c_int, _ON_SOLUTION,
+    ctypes.c_longlong, ctypes.c_double, _ON_SOLUTION,
     ctypes.POINTER(ctypes.c_longlong),
 ]
 _dlx_solve.restype = ctypes.c_int
@@ -84,13 +84,12 @@ def _csr(groups):
     return (ctypes.c_int * len(start))(*start), (ctypes.c_int * len(flat))(*flat)
 
 
-def solve(n_cols, rows, constraints, max_solutions, deadline, first_fit):
+def solve(n_cols, rows, constraints, max_solutions, deadline):
     """Run exhaustive Algorithm X; returns (status, solutions, nodes).
 
     rows: sequence of nonempty, strictly ascending column-index tuples.
     constraints: sequence of (row-id tuple, exact target) pairs.
     deadline: time.monotonic() deadline, negative for none.
-    first_fit: pick the first active column instead of the smallest.
     """
     row_start, cols = _csr(rows)
     con_start, members = _csr(m for m, _ in constraints)
@@ -105,7 +104,7 @@ def solve(n_cols, rows, constraints, max_solutions, deadline, first_fit):
     status = _dlx_solve(
         n_cols, len(rows), row_start, cols,
         len(constraints), con_start, members, targets,
-        min(max_solutions, (1 << 63) - 1), deadline, bool(first_fit), found,
+        min(max_solutions, (1 << 63) - 1), deadline, found,
         ctypes.byref(nodes),
     )
     if status == -1:

@@ -24,13 +24,12 @@ LIMIT = 1
 TIMED_OUT = 2
 
 
-def solve(n_cols, rows, constraints, max_solutions, deadline, first_fit):
+def solve(n_cols, rows, constraints, max_solutions, deadline):
     """Run exhaustive Algorithm X; returns (status, solutions, nodes).
 
     rows: sequence of nonempty, strictly ascending column-index tuples.
     constraints: sequence of (row-id tuple, exact target) pairs.
     deadline: time.monotonic() deadline, negative for none.
-    first_fit: pick the first active column instead of the smallest.
     """
     nh = n_cols + 1
     left = [h - 1 if h else nh - 1 for h in range(nh)]
@@ -125,8 +124,6 @@ def solve(n_cols, rows, constraints, max_solutions, deadline, first_fit):
 
     def choose():
         best = right[0]
-        if first_fit:
-            return best
         bsize = size[best]
         c = right[best]
         while c != 0:

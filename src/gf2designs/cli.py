@@ -18,6 +18,7 @@ mismatch or data error, 2 on a usage or parse error.
 
 import argparse
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -103,6 +104,19 @@ def _effective_timeout(args):
         return None
     explicit = getattr(args, "timeout", None)
     return DEFAULT_TIMEOUT if explicit is None else explicit
+
+
+def _seconds(text):
+    """argparse type for ``--timeout``: a finite number of seconds >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}"
+        )
+    return value
 
 
 def _orbit_layer(group, r, cache_dir):
@@ -487,7 +501,7 @@ def build_parser():
         group = sp.add_mutually_exclusive_group()
         group.add_argument(
             "--timeout",
-            type=float,
+            type=_seconds,
             default=None,
             metavar="SECONDS",
             help=f"solver budget per instance (default {DEFAULT_TIMEOUT:g}s)",

@@ -15,10 +15,10 @@ reported in the original row numbering, forced rows included.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +38,6 @@ else:
 BACKEND = _kernel.BACKEND
 
 _UNLIMITED = 1 << 62
-HEURISTICS = ("min-size", "first")
 
 
 class ForcedConflictError(ValueError):
@@ -223,34 +222,26 @@ def dlx_solve(
     p: CoverProblem,
     max_solutions: int | None = 1,
     timeout: float | None = None,
-    column_heuristic: str = "min-size",
-    workers: int = 1,
 ) -> SolveResult:
     """Solve by exhaustive dancing-links search.
 
     ``max_solutions=None`` enumerates every solution.  ``timeout`` is
-    wall seconds.  ``workers > 1`` splits the root branching over
-    processes; SAT/UNSAT answers match the sequential mode, node counts
-    need not.
+    wall seconds, finite and >= 0; ``None`` searches without a deadline.
     """
-    if column_heuristic not in HEURISTICS:
-        raise ValueError(f"column_heuristic must be one of {HEURISTICS}")
     cap = _UNLIMITED if max_solutions is None else int(max_solutions)
     if cap < 1:
         raise ValueError("max_solutions must be >= 1")
+    if timeout is not None and not 0 <= timeout < math.inf:
+        raise ValueError(f"timeout must be finite and >= 0, got {timeout!r}")
     start = time.monotonic()
     deadline = -1.0 if timeout is None else start + timeout
     n_cols, rows, cons, kept = _reduce(p)
-    if workers > 1:
-        return _solve_parallel(
-            p, cap, timeout, column_heuristic, workers, n_cols, rows, cons, kept, start
-        )
-    code, sols, nodes = _kernel.solve(
-        n_cols, rows, cons, cap, deadline, column_heuristic == "first"
-    )
-    solutions = tuple(
-        tuple(sorted([kept[j] for j in sol] + sorted(p.forced))) for sol in sols
-    )
+    code, solutions, nodes = _kernel.solve(n_cols, rows, cons, cap, deadline)
+    # remap in place: the kernel's row lists and the result tuples are
+    # never both whole in memory
+    forced = sorted(p.forced)
+    for i, sol in enumerate(solutions):
+        solutions[i] = tuple(sorted([kept[j] for j in sol] + forced))
     if solutions:
         status = Status.SAT
     elif code == _kernel.TIMED_OUT:
@@ -259,69 +250,10 @@ def dlx_solve(
         status = Status.UNSAT
     return SolveResult(
         status=status,
-        solutions=solutions,
+        solutions=tuple(solutions),
         nodes=nodes,
         elapsed=time.monotonic() - start,
         exhausted=code == _kernel.EXHAUSTED,
-    )
-
-
-def _branch_worker(args):
-    p, extra_forced, cap, timeout, heuristic = args
-    branch = CoverProblem(
-        n_cols=p.n_cols,
-        rows=p.rows,
-        forced=p.forced | {extra_forced},
-        forbidden=p.forbidden,
-        count_constraints=p.count_constraints,
-        weights=p.weights,
-    )
-    res = dlx_solve(branch, cap, timeout, heuristic, workers=1)
-    return res.status.value, res.solutions, res.nodes, res.exhausted
-
-
-def _solve_parallel(
-    p, cap, timeout, heuristic, workers, n_cols, rows, cons, kept, start
-):
-    """Root split: one branch per candidate row of the root column."""
-    if n_cols == 0 or not rows:
-        return dlx_solve(p, cap, timeout, heuristic, workers=1)
-    col_sizes = [0] * n_cols
-    for row in rows:
-        for c in row:
-            col_sizes[c] += 1
-    root = 0 if heuristic == "first" else col_sizes.index(min(col_sizes))
-    branch_rows = [j for j, row in enumerate(rows) if root in row]
-    if not branch_rows:
-        return SolveResult(Status.UNSAT, (), 0, time.monotonic() - start, True)
-    jobs = [(p, kept[j], cap, timeout, heuristic) for j in branch_rows]
-    total_nodes = 0
-    solutions: list[tuple[int, ...]] = []
-    timed_out = False
-    exhausted = True
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for status, sols, nodes, exh in pool.map(_branch_worker, jobs):
-            total_nodes += nodes
-            exhausted = exhausted and exh
-            if status == Status.TIMEOUT.value:
-                timed_out = True
-            for sol in sols:
-                if len(solutions) < cap:
-                    solutions.append(sol)
-    if len(solutions) >= cap:
-        exhausted = False
-    if solutions:
-        status = Status.SAT
-    elif timed_out:
-        status = Status.TIMEOUT
-    else:
-        status = Status.UNSAT
-    return SolveResult(
-        status=status,
-        solutions=tuple(solutions),
-        nodes=total_nodes,
-        elapsed=time.monotonic() - start,
-        exhausted=exhausted,
     )
 
 

@@ -3,22 +3,22 @@
  * Same algorithm, column heuristic, row order and node accounting as the
  * pure-Python dancing-links twin in _dlx_py.py, so both report identical
  * node counts: a node is one row tried, the column branched on is the
- * first active column of least size (the first active one under
- * first-fit), and its rows are tried in ascending order.  Built into a
- * shared library on first import and called through ctypes by _dlx.py.
+ * first active column of least size, and its rows are tried in ascending
+ * order.  Built into a shared library on first import and called through
+ * ctypes by _dlx.py.
  *
  * The state at each depth is a bitset of the active rows (those meeting
  * no covered column) and, per column, a key: its count of active rows,
  * plus COVERED once the column is covered, so choosing a column is one
  * pass for the least key.  Selecting a row copies the keys one depth down
  * and drops the rows it conflicts with; backtracking restores nothing but
- * the exact-count side constraints.  Under the least-size rule a selection
- * that empties an active column is abandoned at once, since the search
- * below it would branch on that column and try no row.  The exact-count
- * side constraints are tracked incrementally:
- * `selected` and `alive` count the chosen and the still-active member rows
- * of each constraint, which is violated when `selected` overshoots its
- * target or `selected + alive` can no longer reach it.
+ * the exact-count side constraints.  A selection that empties an active
+ * column is abandoned at once, since the search below it would branch on
+ * that column and try no row.  The exact-count side constraints are
+ * tracked incrementally: `selected` and `alive` count the chosen and the
+ * still-active member rows of each constraint, which is violated when
+ * `selected` overshoots its target or `selected + alive` can no longer
+ * reach it.
  */
 #define _POSIX_C_SOURCE 200809L
 
@@ -39,7 +39,7 @@ typedef void (*solution_fn)(const int *rows, int n);
 /* The matrix and the search state; depth d owns 4 bitsets and n_cols + 1
  * keys. */
 struct search {
-    int n_cols, n_rows, rw, stride, n_cons, first_fit;
+    int n_cols, n_rows, rw, stride, n_cons;
     word *colmask;      /* rw words per column: the rows that cover it */
     int *padded;        /* stride columns per row, padded with n_cols */
     int *cstart, *cidx; /* constraints of row r: cidx[cstart[r] .. cstart[r + 1] - 1] */
@@ -75,8 +75,8 @@ static inline void bump(struct search *s, int r, int dsel, int dalv)
 }
 
 /* The rows in `set` leave the active matrix.  With `stop`, returns early
- * once an active column is emptied, leaving the keys unfinished: under the
- * least-size rule that state fails without trying a row. */
+ * once an active column is emptied, leaving the keys unfinished: that state
+ * fails without trying a row. */
 static inline int drop_rows(struct search *s, int *restrict key, const word *restrict set,
                             int stop)
 {
@@ -107,15 +107,9 @@ static inline void restore_rows(struct search *s, const word *set)
 }
 
 /* The column to branch on, or -1 when every column is covered. */
-static inline int choose(const int *key, int n, int first_fit)
+static inline int choose(const int *key, int n)
 {
     int least = COVERED;
-    if (first_fit) {
-        for (int c = 0; c < n; c++)
-            if (key[c] < COVERED)
-                return c;
-        return -1;
-    }
     for (int c = 0; c < n; c++)
         least = key[c] < least ? key[c] : least;
     if (least == COVERED)
@@ -181,7 +175,7 @@ static inline int select_row(struct search *s, int depth, int x, const word *ski
         next[v] &= ~gone[v];
     bump(s, x, 1, 0);
     s->sel[depth] = x;
-    return drop_rows(s, nkey, gone, !s->first_fit);
+    return drop_rows(s, nkey, gone, 1);
 }
 
 /* Algorithm X from the root state at depth 0; each solution goes to
@@ -203,7 +197,7 @@ descend:
     if (s->nviol)
         goto backtrack;
     {
-        int h = choose(keys_at(s, depth), nc, s->first_fit);
+        int h = choose(keys_at(s, depth), nc);
         if (h < 0) {
             on_solution(s->sel, depth);
             if (++nsol >= max_solutions)
@@ -313,11 +307,11 @@ static int build(struct search *s, const int *row_start, const int *cols,
 int dlx_solve(int n_cols, int n_rows, const int *row_start, const int *cols,
               int n_cons, const int *con_start, const int *con_rows,
               const int *targets, long long max_solutions, double deadline,
-              int first_fit, solution_fn on_solution, long long *nodes_out)
+              solution_fn on_solution, long long *nodes_out)
 {
     struct search s = {
         .n_cols = n_cols, .n_rows = n_rows, .rw = (n_rows + 63) / 64,
-        .stride = 1, .n_cons = n_cons, .first_fit = first_fit,
+        .stride = 1, .n_cons = n_cons,
     };
     for (int r = 0; r < n_rows; r++)
         if (row_start[r + 1] - row_start[r] > s.stride)

@@ -34,6 +34,11 @@ def test_help_and_usage_exit_codes(capsys):
     assert code == 2
     code, _, _ = run(capsys, ["table-row", "G_31", "--timeout", "1", "--no-timeout"])
     assert code == 2
+    # NaN would disable the deadline; a negative one stops after 65,536 nodes
+    for value in ("nan", "-1", "inf"):
+        code, _, err = run(capsys, ["table-row", "G_8_1", "--timeout", value])
+        assert code == 2
+        assert "--timeout" in err
 
 
 def test_verify_theory_text(capsys):
