@@ -95,10 +95,12 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
     con_start, members = _csr(m for m, _ in constraints)
     targets = (ctypes.c_int * len(constraints))(*(t for _, t in constraints))
     solutions = []
+    # every solution refers to these row ids instead of holding new ints
+    row_id = list(range(len(rows))).__getitem__
 
     @_ON_SOLUTION
     def found(sel, depth):
-        solutions.append(sorted(sel[:depth]))
+        solutions.append(sorted(map(row_id, sel[:depth])))
 
     nodes = ctypes.c_longlong()
     status = _dlx_solve(

@@ -22,13 +22,20 @@ import math
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
 from .catalog import CatalogFormatError, UnknownGroupError
-from .cover import ForcedConflictError, ProblemFormatError, dlx_solve, parse_problem
+from .cover import (
+    BACKEND,
+    ForcedConflictError,
+    ProblemFormatError,
+    dlx_solve,
+    parse_problem,
+)
 from .designs import (
     DesignParams,
     admissible_involution_types,
@@ -60,6 +67,8 @@ K_DIM = 3
 V_DIM = 7
 LAMBDA = 1
 DEFAULT_TIMEOUT = 60.0
+# pipeline stages timed in the table-row / table-all JSON reports
+STAGES = ("closure", "t_orbits", "k_orbits", "km_build", "reduce", "screens", "solve")
 
 # a run verdict is consistent with a catalog verdict class when it either
 # reproduces the recorded outcome or is inconclusive (timeout)
@@ -97,6 +106,8 @@ class RunReport:
     elapsed: float
     matched: bool
     detail: str
+    stages: dict
+    backend: str
 
 
 def _effective_timeout(args):
@@ -119,6 +130,16 @@ def _seconds(text):
     return value
 
 
+@contextmanager
+def _timed(stages, name):
+    """Add the seconds spent in the block to ``stages[name]``."""
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        stages[name] += time.monotonic() - start
+
+
 def _orbit_layer(group, r, cache_dir):
     """Compute one orbit partition, consulting/filling the cache directory."""
     if cache_dir is None:
@@ -136,14 +157,24 @@ def _orbit_layer(group, r, cache_dir):
     return part
 
 
-def _pipeline(name, cache_dir):
-    spec = catalog.load_group(name)
-    row = catalog.table_row(name)
-    group = spec.closure()
-    t_part = _orbit_layer(group, T_DIM, cache_dir)
-    k_part = _orbit_layer(group, K_DIM, cache_dir)
-    matrix = build_km_matrix(group, T_DIM, K_DIM, V_DIM, row_part=t_part, col_part=k_part)
-    reduced = reduce_km(matrix, LAMBDA)
+def _pipeline(name, cache_dir, stages=None):
+    """Group, table row, matrix and reduction; stage seconds go to ``stages``."""
+    if stages is None:
+        stages = dict.fromkeys(STAGES, 0.0)
+    with _timed(stages, "closure"):
+        spec = catalog.load_group(name)
+        row = catalog.table_row(name)
+        group = spec.closure()
+    with _timed(stages, "t_orbits"):
+        t_part = _orbit_layer(group, T_DIM, cache_dir)
+    with _timed(stages, "k_orbits"):
+        k_part = _orbit_layer(group, K_DIM, cache_dir)
+    with _timed(stages, "km_build"):
+        matrix = build_km_matrix(
+            group, T_DIM, K_DIM, V_DIM, row_part=t_part, col_part=k_part
+        )
+    with _timed(stages, "reduce"):
+        reduced = reduce_km(matrix, LAMBDA)
     return spec, row, matrix, reduced
 
 
@@ -163,7 +194,10 @@ def _fixed_block_constraint(spec, reduced):
 
 def _run_group(name, args):
     start = time.monotonic()
-    spec, row, matrix, reduced = _pipeline(name, getattr(args, "orbit_cache", None))
+    stages = dict.fromkeys(STAGES, 0.0)
+    spec, row, matrix, reduced = _pipeline(
+        name, getattr(args, "orbit_cache", None), stages
+    )
     dump_path = getattr(args, "dump_km", None)
     if dump_path:
         Path(dump_path).write_text(dump_km(matrix, LAMBDA))
@@ -174,27 +208,32 @@ def _run_group(name, args):
         constraints.append(_fixed_block_constraint(spec, reduced))
 
     nodes = 0
-    screen = feasibility_screen(reduced, LAMBDA)
-    if screen.kind is not VerdictKind.UNKNOWN:
+    with _timed(stages, "screens"):
+        screen = feasibility_screen(reduced, LAMBDA)
+        decided = screen.kind is not VerdictKind.UNKNOWN
+        forced = () if decided else forced_by_length_residue(reduced, LAMBDA)
+    if decided:
         verdict = screen.kind.value
         detail = screen.witness
     else:
-        forced = forced_by_length_residue(reduced, LAMBDA)
-        problem = to_cover_problem(
-            reduced, LAMBDA, forced=forced, count_constraints=constraints
-        )
-        try:
-            result = dlx_solve(
-                problem,
-                max_solutions=getattr(args, "max_solutions", 1),
-                timeout=_effective_timeout(args),
+        with _timed(stages, "solve"):
+            problem = to_cover_problem(
+                reduced, LAMBDA, forced=forced, count_constraints=constraints
             )
-            verdict = result.status.value
-            nodes = result.nodes
-            detail = f"{len(result.solutions)} solution(s), {len(forced)} forced row(s)"
-        except ForcedConflictError as exc:
-            verdict = "unsat"
-            detail = f"forced rows conflict: {exc}"
+            try:
+                result = dlx_solve(
+                    problem,
+                    max_solutions=getattr(args, "max_solutions", 1),
+                    timeout=_effective_timeout(args),
+                )
+                verdict = result.status.value
+                nodes = result.nodes
+                detail = (
+                    f"{len(result.solutions)} solution(s), {len(forced)} forced row(s)"
+                )
+            except ForcedConflictError as exc:
+                verdict = "unsat"
+                detail = f"forced rows conflict: {exc}"
 
     t_sig = matrix.row_orbits.signature()
     k_sig = matrix.col_orbits.signature()
@@ -221,6 +260,8 @@ def _run_group(name, args):
         elapsed=time.monotonic() - start,
         matched=matched,
         detail=detail,
+        stages=stages,
+        backend=BACKEND,
     )
 
 

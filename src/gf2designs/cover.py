@@ -1,4 +1,4 @@
-"""Exact-cover instances and the dancing-links front end.
+"""Exact-cover instances and the front end of the search kernels.
 
 The compiled kernel (``_dlx``, built with the system C compiler on
 first import) is preferred; if it cannot be built, a warning names the
@@ -198,7 +198,7 @@ def apply_forcing(p: CoverProblem) -> CoverProblem:
 
 
 def check_solution(p: CoverProblem, rows) -> bool:
-    """Independent validity check, no dancing links involved."""
+    """Independent validity check, no search kernel involved."""
     chosen = set(rows)
     if not chosen <= set(range(p.n_rows)):
         return False
@@ -223,7 +223,7 @@ def dlx_solve(
     max_solutions: int | None = 1,
     timeout: float | None = None,
 ) -> SolveResult:
-    """Solve by exhaustive dancing-links search.
+    """Solve by exhaustive Algorithm X search in the active kernel.
 
     ``max_solutions=None`` enumerates every solution.  ``timeout`` is
     wall seconds, finite and >= 0; ``None`` searches without a deadline.

@@ -8,15 +8,22 @@ Pivots strictly increase down the basis.
 
 The text form of a subspace is one line per basis row, ``v`` characters
 of '0'/'1' each, first coordinate first.
+
+The orbit and incidence computations work on subspace indices alone:
+a matrix becomes a permutation of a layer's indices, and which
+k-subspaces lie above each t-subspace is one integer table per
+``(v, t, k)``, shared by every group.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .gf2 import GF2Matrix, _check_dim, vec_mat
+from .packed import packed
 
 
 def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
@@ -158,28 +165,78 @@ def enumerate_subspaces(v: int, k: int) -> tuple[Subspace, ...]:
                         word |= 1 << q
                     pos += 1
                 rows.append(word)
-            out.append(Subspace(tuple(rows), v))
-    out.sort(key=lambda s: s.rows)
-    return tuple(out)
+            out.append(tuple(rows))
+    out.sort()
+    return tuple(_echelon(rows, v) for rows in out)
 
 
-def superspaces(sub: Subspace, k: int) -> list[Subspace]:
-    """All k-dim subspaces containing ``sub``, sorted by basis rows.
+def _echelon(rows: tuple[int, ...], v: int) -> Subspace:
+    """A subspace from a basis already in reduced echelon form, unchecked."""
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "rows", rows)
+    object.__setattr__(sub, "v", v)
+    return sub
 
-    Grows one dimension at a time: adjoin every outside vector, then
-    dedupe through the canonical form.
+
+@lru_cache(maxsize=None)
+def _point_sets(v: int, r: int):
+    """Points of every r-subspace and the lookup from point set to index.
+
+    A point is a nonzero vector ``x``; a point set is the integer with
+    bit ``x - 1`` set for each point.  Row ``i`` of the first result
+    lists subspace ``i``'s points in coefficient order: point ``c - 1``
+    is the combination of basis rows selected by the bits of ``c``.
+    Built on first use and shared by every group.
     """
-    if not sub.dim <= k <= sub.v:
-        raise ValueError(f"k must be in {sub.dim}..{sub.v}, got {k}")
-    current = {sub}
-    for _ in range(k - sub.dim):
-        grown = set()
-        for u in current:
-            for x in range(1, 1 << u.v):
-                if not u.contains_vector(x):
-                    grown.add(Subspace(rref_basis((*u.rows, x), u.v), u.v))
-        current = grown
-    return sorted(current, key=lambda s: s.rows)
+    points = []
+    rank = {}
+    for i, sub in enumerate(enumerate_subspaces(v, r)):
+        pts = [0]
+        for b in sub.rows:
+            pts += [p ^ b for p in pts]
+        pts = tuple(pts[1:])
+        points.append(pts)
+        rank[sum(1 << (x - 1) for x in pts)] = i
+    return tuple(points), rank
+
+
+def layer_permutation(m: GF2Matrix, v: int, r: int) -> list[int]:
+    """Index of the image of every r-subspace of F_2^v under ``m``.
+
+    Each point is mapped through the matrix once; a subspace's image is
+    then looked up by the point set of the images of its points.
+    """
+    if m.dim != v:
+        raise ValueError("ambient dimension mismatch")
+    points, rank = _point_sets(v, r)
+    image_bit = [0] + [1 << (vec_mat(x, m.rows) - 1) for x in range(1, 1 << v)]
+    # the image points are distinct, so the sum of their bits is their union
+    return [rank[sum(map(image_bit.__getitem__, pts))] for pts in points]
+
+
+@lru_cache(maxsize=None)
+def incidence(v: int, t: int, k: int) -> array:
+    """The k-subspaces containing each t-subspace of F_2^v, as one flat table.
+
+    Row ``i`` is ``table[i * d:(i + 1) * d]`` with ``d = [v-t, k-t]_2``:
+    the indices of the k-subspaces above t-subspace ``i``, ascending.
+    The table does not depend on any group; it is built on first use by
+    listing the t-subspaces inside each k-subspace.
+    """
+    if not 0 <= t <= k <= v:
+        raise ValueError("need 0 <= t <= k <= v")
+    _, t_rank = _point_sets(v, t)
+    k_points, _ = _point_sets(v, k)
+    # the t-subspaces of F_2^k, as positions into a k-subspace's points
+    patterns = (
+        [tuple(c - 1 for c in pts) for pts in _point_sets(k, t)[0]] if k else [()]
+    )
+    above: list[list[int]] = [[] for _ in range(len(t_rank))]
+    for j, pts in enumerate(k_points):
+        bits = [1 << (x - 1) for x in pts]
+        for pattern in patterns:
+            above[t_rank[sum(map(bits.__getitem__, pattern))]].append(j)
+    return packed(chain.from_iterable(above), len(k_points))
 
 
 class GrassmannianIndex:

@@ -15,15 +15,18 @@ summing to the design's block count, a bounded subset-sum question.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from math import gcd
 
 from .cover import CoverProblem
 from .designs import DesignParams, lambda_s
-from .grassmannian import gaussian_binomial, grassmannian_index, superspaces
+from .grassmannian import gaussian_binomial, incidence
 from .orbits import MatrixGroup, OrbitPartition, format_signature, orbits
+from .packed import PairRows, packed
 
 
 class UnsupportedLambdaError(ValueError):
@@ -35,7 +38,8 @@ class KMMatrix:
     """Sparse orbit incidence matrix with both orbit partitions attached.
 
     ``entries[i]`` lists (column orbit id, value) pairs ascending by
-    column; absent pairs are zero.
+    column; absent pairs are zero.  The pairs are held in flat integer
+    arrays (:class:`gf2designs.packed.PairRows`).
     """
 
     group_name: str
@@ -44,7 +48,7 @@ class KMMatrix:
     v: int
     row_orbits: OrbitPartition
     col_orbits: OrbitPartition
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    entries: PairRows
 
     @property
     def n_rows(self) -> int:
@@ -66,12 +70,12 @@ def build_km_matrix(
     row_part: OrbitPartition | None = None,
     col_part: OrbitPartition | None = None,
 ) -> KMMatrix:
-    """Construct the incidence matrix by expanding each row representative.
+    """Construct the incidence matrix from the shared t->k incidence table.
 
-    Each representative t-subspace is extended to the k-subspaces above
-    it (there are [v-t, k-t]_2 of them) and their column orbit ids are
-    tallied, so the cost scales with rows, not rows times columns.
-    Precomputed orbit partitions may be passed in to skip recomputation.
+    For each row representative, the column orbit ids of the
+    [v-t, k-t]_2 k-subspaces above it are tallied, so the cost scales
+    with rows, not rows times columns.  Precomputed orbit partitions may
+    be passed in to skip recomputation.
     """
     if not 0 <= t <= k <= v:
         raise ValueError("need 0 <= t <= k <= v")
@@ -81,15 +85,20 @@ def build_km_matrix(
         col_part = orbits(group, v, k)
     if (row_part.v, row_part.r) != (v, t) or (col_part.v, col_part.r) != (v, k):
         raise ValueError("orbit partitions do not match the requested layers")
-    col_index = grassmannian_index(v, k)
-    entries = []
+    above = incidence(v, t, k)
+    d = gaussian_binomial(v - t, k - t)
+    col_of = col_part.orbit_of
+    starts, cols, vals = [0], [], []
     for oid in range(row_part.n_orbits):
-        rep = row_part.representative(oid)
-        tally: dict[int, int] = {}
-        for sup in superspaces(rep, k):
-            cid = col_part.orbit_of[col_index.rank(sup)]
-            tally[cid] = tally.get(cid, 0) + 1
-        entries.append(tuple(sorted(tally.items())))
+        rep = row_part.representative_index(oid)
+        tally = Counter(map(col_of.__getitem__, above[rep * d : (rep + 1) * d]))
+        row = sorted(tally)
+        cols += row
+        vals += map(tally.__getitem__, row)
+        starts.append(len(cols))
+    entries = PairRows(
+        packed(starts, len(cols)), packed(cols, col_part.n_orbits), packed(vals, d)
+    )
     return KMMatrix(
         group_name=group.name,
         t=t,
@@ -97,17 +106,20 @@ def build_km_matrix(
         v=v,
         row_orbits=row_part,
         col_orbits=col_part,
-        entries=tuple(entries),
+        entries=entries,
     )
 
 
 @dataclass(frozen=True)
 class ReducedKM:
-    """The matrix after discarding columns with an entry above lambda."""
+    """The matrix after discarding columns with an entry above lambda.
+
+    ``kept_columns`` is an integer array of column orbit ids, ascending.
+    """
 
     base: KMMatrix
     lam: int
-    kept_columns: tuple[int, ...]
+    kept_columns: array
     zero_rows: tuple[int, ...]
 
     @property
@@ -127,17 +139,13 @@ def reduce_km(m: KMMatrix, lam: int) -> ReducedKM:
     """Drop every column orbit whose incidence exceeds lambda anywhere."""
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    dropped = set()
-    for row in m.entries:
-        for c, val in row:
-            if val > lam:
-                dropped.add(c)
-    kept = tuple(c for c in range(m.n_cols) if c not in dropped)
-    kept_set = set(kept)
+    e = m.entries
+    dropped = set(compress(e.cols, map(lam.__lt__, e.vals)))
+    kept = packed((c for c in range(m.n_cols) if c not in dropped), m.n_cols)
     zero_rows = tuple(
         i
-        for i, row in enumerate(m.entries)
-        if not any(c in kept_set for c, _ in row)
+        for i in range(m.n_rows)
+        if all(c in dropped for c in e.cols[e.starts[i] : e.starts[i + 1]])
     )
     return ReducedKM(base=m, lam=lam, kept_columns=kept, zero_rows=zero_rows)
 
@@ -249,13 +257,17 @@ def to_cover_problem(
     if r.lam != 1:
         raise UnsupportedLambdaError("reduction was taken at a different lambda")
     m = r.base
+    e = m.entries
     incid: list[list[int]] = [[] for _ in r.kept_columns]
-    pos = {c: j for j, c in enumerate(r.kept_columns)}
-    for i, row in enumerate(m.entries):
-        for c, val in row:
-            j = pos.get(c)
-            if j is not None and val:
-                incid[j].append(i)
+    # the cover row of each column orbit, None for a dropped one
+    row_of: list[list[int] | None] = [None] * m.n_cols
+    for c, cover_row in zip(r.kept_columns, incid):
+        row_of[c] = cover_row
+    for i in range(m.n_rows):
+        for c in e.cols[e.starts[i] : e.starts[i + 1]]:
+            cover_row = row_of[c]
+            if cover_row is not None:
+                cover_row.append(i)
     return CoverProblem(
         n_cols=m.n_rows,
         rows=tuple(tuple(cols) for cols in incid),

@@ -3,18 +3,21 @@
 A group is built by breadth-first closure from its generators, so the
 element order is deterministic.  Orbits on a layer are found by scanning
 subspace indices in ascending order and expanding each unseen seed with
-the generators; because the layer enumeration is sorted, the seed of an
-orbit is also its lexicographically least member and serves as the
-representative.
+the generators, each turned into a permutation of the layer's indices;
+because the layer enumeration is sorted, the seed of an orbit is also
+its lexicographically least member and serves as the representative.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .gf2 import GF2Matrix
-from .grassmannian import Subspace, enumerate_subspaces, grassmannian_index
+from .grassmannian import Subspace, enumerate_subspaces, layer_permutation
+from .packed import IntRows, packed
 
 DEFAULT_CLOSURE_CAP = 10**6
 
@@ -87,21 +90,22 @@ class OrbitPartition:
     ``orbit_of[i]`` is the orbit id of subspace index ``i``; ids are
     assigned in order of first appearance, so orbit 0 is seeded by
     subspace 0.  ``members[j]`` lists orbit j's subspace indices in
-    ascending order; its first entry is the representative.
+    ascending order; its first entry is the representative.  Both are
+    integer arrays (see :mod:`gf2designs.packed`).
     """
 
     v: int
     r: int
-    orbit_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    orbit_of: array
+    members: IntRows
 
     @property
     def n_orbits(self) -> int:
         return len(self.members)
 
     @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(m) for m in self.members)
+    def lengths(self) -> array:
+        return self.members.lengths()
 
     def representative_index(self, orbit_id: int) -> int:
         return self.members[orbit_id][0]
@@ -114,45 +118,54 @@ class OrbitPartition:
         return format_signature(self.lengths)
 
 
+def _partition(v: int, r: int, orbit_of: list[int], n_orbits: int) -> OrbitPartition:
+    """Pack first-seen orbit ids into a partition with sorted member lists."""
+    n = len(orbit_of)
+    sizes = [0] * n_orbits
+    for oid in orbit_of:
+        sizes[oid] += 1
+    # a stable sort by orbit id keeps each orbit's members ascending
+    order = sorted(range(n), key=orbit_of.__getitem__)
+    members = IntRows(packed(accumulate(sizes, initial=0), n), packed(order, n))
+    return OrbitPartition(v, r, packed(orbit_of, n_orbits), members)
+
+
 def orbits(group: MatrixGroup, v: int, r: int) -> OrbitPartition:
-    """Full orbit partition of the r-dimensional subspaces of F_2^v."""
-    index = grassmannian_index(v, r)
-    layer = index.subspaces
-    n = len(layer)
-    gens = group.generators
+    """Full orbit partition of the r-dimensional subspaces of F_2^v.
+
+    Each generator becomes a permutation of the layer's indices; an
+    orbit is everything reached from its seed by following them.
+    """
+    perms = [layer_permutation(g, v, r) for g in group.generators]
+    n = len(perms[0])
     orbit_of = [-1] * n
-    members: list[tuple[int, ...]] = []
+    oid = 0
     for seed in range(n):
         if orbit_of[seed] >= 0:
             continue
-        oid = len(members)
         orbit_of[seed] = oid
         stack = [seed]
-        found = [seed]
         while stack:
             i = stack.pop()
-            sub = layer[i]
-            for g in gens:
-                j = index.rank(sub.image(g))
+            for perm in perms:
+                j = perm[i]
                 if orbit_of[j] < 0:
                     orbit_of[j] = oid
-                    found.append(j)
                     stack.append(j)
-        found.sort()
-        members.append(tuple(found))
-    return OrbitPartition(v, r, tuple(orbit_of), tuple(members))
+        oid += 1
+    return _partition(v, r, orbit_of, oid)
 
 
 def fixed_subspaces(group: MatrixGroup, v: int, r: int) -> list[Subspace]:
     """All r-subspaces mapped to themselves by every group element.
 
-    Being fixed by the generators is enough, since images compose.
+    Being fixed by the generators is enough, since images compose: these
+    are the common fixed points of the generator permutations.
     """
-    gens = group.generators
+    perms = [layer_permutation(g, v, r) for g in group.generators]
+    layer = enumerate_subspaces(v, r)
     return [
-        sub
-        for sub in enumerate_subspaces(v, r)
-        if all(sub.image(g) == sub for g in gens)
+        sub for i, sub in enumerate(layer) if all(perm[i] == i for perm in perms)
     ]
 
 
@@ -179,13 +192,10 @@ def read_orbit_cache(path) -> tuple[OrbitPartition, str, int]:
     n = len(enumerate_subspaces(v, r))
     if len(orbit_of) != n:
         raise ValueError(f"{path}: expected {n} entries, got {len(orbit_of)}")
-    buckets: dict[int, list[int]] = {}
     next_id = 0
-    for i, oid in enumerate(orbit_of):
-        if oid == next_id and oid not in buckets:
+    for oid in orbit_of:
+        if oid == next_id:
             next_id += 1
-        elif oid not in buckets:
+        elif not 0 <= oid < next_id:
             raise ValueError(f"{path}: orbit ids must appear in first-seen order")
-        buckets.setdefault(oid, []).append(i)
-    members = tuple(tuple(buckets[j]) for j in range(next_id))
-    return OrbitPartition(v, r, tuple(orbit_of), members), name, order
+    return _partition(v, r, orbit_of, next_id), name, order

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gf2designs import cover
 from gf2designs.cli import main
 from gf2designs.km import parse_km_dump
 
@@ -87,6 +88,32 @@ def test_table_row_json_schema(capsys):
     assert report["reduced_signature"] == "31^270"
     assert report["nodes"] == 0
     assert report["elapsed"] >= 0
+
+
+STAGES = {"closure", "t_orbits", "k_orbits", "km_build", "reduce", "screens", "solve"}
+
+
+def check_stages(report):
+    assert report["backend"] == cover.BACKEND
+    assert set(report["stages"]) == STAGES
+    assert all(s >= 0 for s in report["stages"].values())
+    assert sum(report["stages"].values()) <= report["elapsed"]
+
+
+def test_table_reports_time_each_stage(capsys):
+    code, out, _ = run(capsys, ["table-row", "G_{6,2}", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "unsat"
+    assert list(report) == sorted(report)
+    check_stages(report)
+    assert report["stages"]["solve"] > 0
+    code, out, _ = run(capsys, ["table-all", "--timeout", "0", "--json"])
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 25
+    for report in reports:
+        check_stages(report)
 
 
 def test_table_row_zero_row_group(capsys):

@@ -9,6 +9,8 @@ from gf2designs.grassmannian import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
+    incidence,
+    layer_permutation,
     parse_subspace,
     rref_basis,
     span,
@@ -132,6 +134,31 @@ def test_image_composes_in_action_order():
     b = random_invertible(7, rng)
     sub = span([0b1, 0b110, 0b1010000], 7)
     assert sub.image(a).image(b) == sub.image(a @ b)
+
+
+def test_layer_permutation_ranks_the_subspace_images():
+    rng = random.Random(15)
+    for v, r in ((7, 2), (7, 3), (5, 0), (5, 1), (5, 5), (6, 3)):
+        idx = GrassmannianIndex(v, r)
+        for _ in range(2):
+            m = random_invertible(v, rng)
+            perm = layer_permutation(m, v, r)
+            assert perm == [idx.rank(s.image(m)) for s in idx.subspaces]
+    with pytest.raises(ValueError):
+        layer_permutation(GF2Matrix.identity(6), 7, 2)
+
+
+def test_incidence_lists_the_superspaces():
+    for v, t, k in ((5, 1, 2), (5, 2, 3), (4, 0, 2), (4, 2, 2), (4, 1, 4), (6, 1, 3)):
+        table = incidence(v, t, k)
+        d = gaussian_binomial(v - t, k - t)
+        tsubs, ksubs = enumerate_subspaces(v, t), enumerate_subspaces(v, k)
+        assert len(table) == len(tsubs) * d
+        for i, ts in enumerate(tsubs):
+            above = [j for j, ks in enumerate(ksubs) if ks.contains(ts)]
+            assert list(table[i * d : (i + 1) * d]) == above
+    with pytest.raises(ValueError):
+        incidence(5, 3, 2)
 
 
 def test_text_roundtrip():

@@ -1,0 +1,81 @@
+"""Compact front-end storage reads like the tuples it replaced."""
+
+from array import array
+
+import pytest
+
+from conftest import G5_GEN
+from gf2designs.km import build_km_matrix, reduce_km
+from gf2designs.orbits import group_closure, orbits
+from gf2designs.packed import IntRows, PairRows, packed
+
+
+def test_packed_picks_the_narrowest_item_type():
+    assert packed([0, 255], 255).typecode == "B"
+    assert packed([256], 256).typecode == "H"
+    big = packed([1 << 16], 1 << 16)
+    assert big.itemsize >= 4 and list(big) == [1 << 16]
+    assert packed([1 << 40], 1 << 40).tolist() == [1 << 40]
+    with pytest.raises(OverflowError):
+        packed([], 1 << 64)
+
+
+def test_rows_index_slice_and_iterate():
+    rows = IntRows(array("B", [0, 2, 2, 5]), array("H", [4, 9, 1, 2, 3]))
+    assert len(rows) == 3
+    assert list(rows[0]) == [4, 9] and list(rows[1]) == [] and list(rows[-1]) == [1, 2, 3]
+    assert [list(r) for r in rows[1:]] == [[], [1, 2, 3]]
+    assert [len(r) for r in rows] == [2, 0, 3]
+    assert list(rows.lengths()) == [2, 0, 3]
+    with pytest.raises(IndexError):
+        rows[3]
+    with pytest.raises(IndexError):
+        rows[-4]
+    assert rows == IntRows(array("I", [0, 2, 2, 5]), array("B", [4, 9, 1, 2, 3]))
+    assert rows != IntRows(array("B", [0, 2, 2, 5]), array("B", [4, 9, 1, 2, 4]))
+
+    pairs = PairRows(array("B", [0, 2, 3]), array("H", [1, 7, 0]), array("B", [2, 1, 5]))
+    assert pairs[0] == ((1, 2), (7, 1))
+    assert pairs[-1] == ((0, 5),)
+    assert pairs[1:] == (((0, 5),),)
+    assert list(pairs) == [((1, 2), (7, 1)), ((0, 5),)]
+
+
+@pytest.fixture(scope="module")
+def order5():
+    g = group_closure([G5_GEN], name="order5")
+    m = build_km_matrix(g, 2, 3, 7)
+    return m, reduce_km(m, 1)
+
+
+def test_matrix_entries_support_every_use(order5):
+    m, _ = order5
+    e = m.entries
+    assert len(e) == m.n_rows == 539
+    assert e[-1] == e[len(e) - 1]
+    assert e[1:] == tuple(e)[1:]
+    total = 0
+    for i, row in enumerate(e):
+        assert row == e[i]
+        assert dict(row) and list(dict(row)) == sorted(dict(row))
+        assert row[1:] == tuple(row)[1:]
+        for c, val in row:
+            assert 0 <= c < m.n_cols and val >= 1
+            total += val
+    assert total == 31 * m.n_rows
+    (c, val), *rest = e[0]
+    assert (c, val) == e[0][0] and tuple(rest) == e[0][1:]
+
+
+def test_orbit_partitions_and_kept_columns_are_arrays(order5):
+    m, r = order5
+    part = m.col_orbits
+    assert isinstance(part.orbit_of, array)
+    assert len(part.members) == part.n_orbits
+    assert all(part.orbit_of[i] == j for j, ms in enumerate(part.members) for i in ms)
+    assert part.members[-1][0] == part.representative_index(part.n_orbits - 1)
+    kept = r.kept_columns
+    assert isinstance(kept, array)
+    assert tuple(kept[1:]) == tuple(kept)[1:]
+    assert kept[0] == tuple(kept)[0] and kept[-1] == tuple(kept)[-1]
+    assert orbits(group_closure([G5_GEN]), 7, 3) == part
