@@ -7,6 +7,12 @@ the system ``cc`` compiles that file into a shared library cached under
 by a sha256 of the source, the compile command, the operating system and
 the machine architecture, and ``ctypes`` loads it.  A failed compile
 raises ImportError carrying the compiler's stderr.
+
+The kernel writes solutions into a buffer owned by ``solve`` and hands
+them over in batches through one flush callback, which turns each batch
+into tuples.  The kernel also calls it every 65,536 nodes, so an
+exception raised meanwhile, such as KeyboardInterrupt on Ctrl-C, stops
+the search there and is raised once the kernel returns.
 """
 
 import ctypes
@@ -22,6 +28,10 @@ BACKEND = "c"
 EXHAUSTED = 0
 LIMIT = 1
 TIMED_OUT = 2
+
+# ints of solution buffer per batch; solve makes room for one solution
+# of n_cols rows whatever this is
+_BUFFER = 1 << 16
 
 _SOURCE = Path(__file__).with_name("dlx_kernel.c")
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
@@ -60,7 +70,7 @@ def _library() -> Path:
 
 
 _INTS = ctypes.POINTER(ctypes.c_int)
-_ON_SOLUTION = ctypes.CFUNCTYPE(None, _INTS, ctypes.c_int)
+_FLUSH = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 
 try:
     _dlx_solve = ctypes.CDLL(str(_library())).dlx_solve
@@ -69,10 +79,26 @@ except OSError as exc:  # no compiler, unwritable cache, unloadable library
 _dlx_solve.argtypes = [
     ctypes.c_int, ctypes.c_int, _INTS, _INTS,  # columns, rows
     ctypes.c_int, _INTS, _INTS, _INTS,  # constraints
-    ctypes.c_longlong, ctypes.c_double, _ON_SOLUTION,
+    ctypes.c_longlong, ctypes.c_double,
+    _INTS, ctypes.c_int, _FLUSH,  # solution buffer, its length, flush
     ctypes.POINTER(ctypes.c_longlong),
 ]
 _dlx_solve.restype = ctypes.c_int
+
+
+def _check(status, func, args):
+    """Raise for the kernel's negative return codes."""
+    if status == -1:
+        raise MemoryError("dlx_kernel: out of memory")
+    if status < 0:
+        raise ValueError(
+            "dlx_kernel: column or row index out of range, or solution "
+            "buffer shorter than n_cols + 1"
+        )
+    return status
+
+
+_dlx_solve.errcheck = _check
 
 
 def _csr(groups):
@@ -84,33 +110,62 @@ def _csr(groups):
     return (ctypes.c_int * len(start))(*start), (ctypes.c_int * len(flat))(*flat)
 
 
+def _receive(buf, row_id, solutions, failed):
+    """Generator behind the flush callback; each ``send(n)`` returns 0 or 1.
+
+    It appends the solutions in the first n ints of ``buf`` (a length,
+    then that many row ids) to ``solutions`` as tuples of ``row_id``'s
+    ints.  On an exception it keeps it in ``failed`` and returns 1, which
+    stops the search.  The callback is a generator's send, not a
+    function: Python runs pending signal handlers on entering a function,
+    before any try block, and ctypes would print and drop what they raise;
+    a generator resumes inside its try block.
+    """
+    n = yield
+    while True:
+        try:
+            ids = list(map(row_id, buf[:n]))
+            i = 0
+            while i < n:
+                end = i + 1 + ids[i]
+                solutions.append(tuple(ids[i + 1 : end]))
+                i = end
+            n = yield 0
+        except GeneratorExit:
+            raise
+        except BaseException as exc:  # raised again once the kernel returns
+            failed.append(exc)
+            n = yield 1
+
+
 def solve(n_cols, rows, constraints, max_solutions, deadline):
     """Run exhaustive Algorithm X; returns (status, solutions, nodes).
 
     rows: sequence of nonempty, strictly ascending column-index tuples.
     constraints: sequence of (row-id tuple, exact target) pairs.
     deadline: time.monotonic() deadline, negative for none.
+    Each solution is an ascending tuple of row ids.
     """
     row_start, cols = _csr(rows)
     con_start, members = _csr(m for m, _ in constraints)
     targets = (ctypes.c_int * len(constraints))(*(t for _, t in constraints))
-    solutions = []
-    # every solution refers to these row ids instead of holding new ints
-    row_id = list(range(len(rows))).__getitem__
-
-    @_ON_SOLUTION
-    def found(sel, depth):
-        solutions.append(sorted(map(row_id, sel[:depth])))
-
+    size = max(_BUFFER, n_cols + 1)
+    buf = (ctypes.c_int * size)()
+    solutions, failed = [], []
+    # every solution refers to these row ids instead of holding new ints;
+    # the lengths pass through them too, and none exceeds the row count
+    row_id = list(range(len(rows) + 1)).__getitem__
+    receiver = _receive(buf, row_id, solutions, failed)
+    next(receiver)
+    flush = _FLUSH(receiver.send)
     nodes = ctypes.c_longlong()
     status = _dlx_solve(
         n_cols, len(rows), row_start, cols,
         len(constraints), con_start, members, targets,
-        min(max_solutions, (1 << 63) - 1), deadline, found,
+        min(max_solutions, (1 << 63) - 1), deadline,
+        buf, size, flush,
         ctypes.byref(nodes),
     )
-    if status == -1:
-        raise MemoryError("dlx_kernel: out of memory")
-    if status < 0:
-        raise ValueError("dlx_kernel: column or row index out of range")
+    if failed:
+        raise failed[0]
     return status, solutions, nodes.value

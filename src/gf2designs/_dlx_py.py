@@ -30,6 +30,7 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
     rows: sequence of nonempty, strictly ascending column-index tuples.
     constraints: sequence of (row-id tuple, exact target) pairs.
     deadline: time.monotonic() deadline, negative for none.
+    Each solution is an ascending tuple of row ids.
     """
     nh = n_cols + 1
     left = [h - 1 if h else nh - 1 for h in range(nh)]
@@ -146,7 +147,7 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
                 mode = 2
                 continue
             if right[0] == 0:
-                solutions.append(sorted(sel_rows))
+                solutions.append(tuple(sorted(sel_rows)))
                 if len(solutions) >= max_solutions:
                     status = LIMIT
                     break

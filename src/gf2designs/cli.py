@@ -108,6 +108,7 @@ class RunReport:
     detail: str
     stages: dict
     backend: str
+    nodes_per_s: float
 
 
 def _effective_timeout(args):
@@ -127,6 +128,17 @@ def _seconds(text):
         raise argparse.ArgumentTypeError(
             f"expected a finite number of seconds >= 0, got {text!r}"
         )
+    return value
+
+
+def _solution_cap(text):
+    """argparse type for ``--max-solutions``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
 
 
@@ -262,6 +274,8 @@ def _run_group(name, args):
         detail=detail,
         stages=stages,
         backend=BACKEND,
+        # stages["solve"] is 0 exactly when no search ran
+        nodes_per_s=nodes / stages["solve"] if stages["solve"] else 0.0,
     )
 
 
@@ -566,7 +580,7 @@ def build_parser():
 
     tr = sub.add_parser("table-row", help="reproduce one catalog row end to end")
     tr.add_argument("name", help="catalog group, e.g. G_{4,2} or G_4_2")
-    tr.add_argument("--max-solutions", type=int, default=1, metavar="N")
+    tr.add_argument("--max-solutions", type=_solution_cap, default=1, metavar="N")
     tr.add_argument(
         "--force-fixed-blocks",
         action="store_true",
@@ -579,7 +593,7 @@ def build_parser():
     tr.set_defaults(func=cmd_table_row)
 
     ta = sub.add_parser("table-all", help="reproduce every catalog row")
-    ta.add_argument("--max-solutions", type=int, default=1, metavar="N")
+    ta.add_argument("--max-solutions", type=_solution_cap, default=1, metavar="N")
     add_timeout(ta)
     add_cache(ta)
     add_json(ta)
@@ -592,7 +606,7 @@ def build_parser():
 
     so = sub.add_parser("solve", help="solve an exact-cover problem file")
     so.add_argument("path")
-    so.add_argument("--max-solutions", type=int, default=1, metavar="N")
+    so.add_argument("--max-solutions", type=_solution_cap, default=1, metavar="N")
     add_timeout(so)
     add_json(so)
     so.set_defaults(func=cmd_solve)

@@ -227,6 +227,11 @@ def dlx_solve(
 
     ``max_solutions=None`` enumerates every solution.  ``timeout`` is
     wall seconds, finite and >= 0; ``None`` searches without a deadline.
+    Each solution is an ascending tuple of row ids.  The kernels hand
+    back ascending tuples, which are remapped only when a row was forced
+    or dropped.  An exception raised during a compiled search, such as
+    KeyboardInterrupt on Ctrl-C, stops it within 65,536 nodes and
+    propagates from here.
     """
     cap = _UNLIMITED if max_solutions is None else int(max_solutions)
     if cap < 1:
@@ -237,11 +242,14 @@ def dlx_solve(
     deadline = -1.0 if timeout is None else start + timeout
     n_cols, rows, cons, kept = _reduce(p)
     code, solutions, nodes = _kernel.solve(n_cols, rows, cons, cap, deadline)
-    # remap in place: the kernel's row lists and the result tuples are
-    # never both whole in memory
-    forced = sorted(p.forced)
-    for i, sol in enumerate(solutions):
-        solutions[i] = tuple(sorted([kept[j] for j in sol] + forced))
+    # the kernels return ascending tuples of kept positions, which are the
+    # final solutions when every row was kept
+    if len(kept) < p.n_rows:
+        # remap in place: the kernel's solutions and the result tuples
+        # are never both whole in memory
+        forced = sorted(p.forced)
+        for i, sol in enumerate(solutions):
+            solutions[i] = tuple(sorted([kept[j] for j in sol] + forced))
     if solutions:
         status = Status.SAT
     elif code == _kernel.TIMED_OUT:

@@ -7,6 +7,13 @@
  * order.  Built into a shared library on first import and called through
  * ctypes by _dlx.py.
  *
+ * Solutions leave the kernel in batches: each is written into a buffer the
+ * caller owns, as its length and then its rows in ascending order, and
+ * the caller's flush callback takes the buffer whenever the next solution
+ * would not fit, at every clock check and once before the search returns.
+ * A nonzero return from flush stops the search, so the caller can act on
+ * Ctrl-C or a failure of its own within 65,536 nodes.
+ *
  * The state at each depth is a bitset of the active rows (those meeting
  * no covered column) and, per column, a key: its count of active rows,
  * plus COVERED once the column is covered, so choosing a column is one
@@ -27,14 +34,15 @@
 #include <string.h>
 #include <time.h>
 
-enum { EXHAUSTED = 0, LIMIT = 1, TIMED_OUT = 2 };
+enum { EXHAUSTED = 0, LIMIT = 1, TIMED_OUT = 2, STOPPED = 3 };
 enum { NO_MEMORY = -1, BAD_INDEX = -2 };
 
 /* added to the key of a covered column, above any count of rows */
 #define COVERED (1 << 30)
 
 typedef uint64_t word;
-typedef void (*solution_fn)(const int *rows, int n);
+/* takes the first n ints of the solution buffer; nonzero stops the search */
+typedef int (*flush_fn)(int n);
 
 /* The matrix and the search state; depth d owns 4 bitsets and n_cols + 1
  * keys. */
@@ -49,6 +57,8 @@ struct search {
     int *keys, *sel;
     int *selected, *alive, nviol;
     long long nodes;
+    int *buf, buflen, used; /* solution buffer and the ints written to it */
+    flush_fn flush;
 };
 
 static double monotonic_seconds(void)
@@ -150,6 +160,33 @@ static int reserve(struct search *s, int depth)
     return 0;
 }
 
+/* Hand the buffered solutions to the caller; nonzero to stop. */
+static int flush_solutions(struct search *s)
+{
+    int stop = s->flush(s->used);
+    s->used = 0;
+    return stop;
+}
+
+/* Append the solution sel[0 .. depth - 1] to the buffer, flushing first if
+ * it would not fit: its length, then its rows in ascending order (an
+ * insertion sort; a solution has at most n_cols rows). */
+static int put_solution(struct search *s, int depth)
+{
+    if (s->used + depth + 1 > s->buflen && flush_solutions(s))
+        return STOPPED;
+    int *rows = s->buf + s->used + 1;
+    rows[-1] = depth;
+    for (int i = 0; i < depth; i++) {
+        int x = s->sel[i], j = i;
+        for (; j > 0 && rows[j - 1] > x; j--)
+            rows[j] = rows[j - 1];
+        rows[j] = x;
+    }
+    s->used += depth + 1;
+    return 0;
+}
+
 /* Select row x at `depth`, leaving the state one depth below; `skip` holds
  * rows already dropped at `depth` (those of the column branched on). */
 static inline int select_row(struct search *s, int depth, int x, const word *skip)
@@ -178,10 +215,9 @@ static inline int select_row(struct search *s, int depth, int x, const word *ski
     return drop_rows(s, nkey, gone, 1);
 }
 
-/* Algorithm X from the root state at depth 0; each solution goes to
- * on_solution as its rows in selection order. */
-static int run(struct search *s, long long max_solutions, double deadline,
-               solution_fn on_solution)
+/* Algorithm X from the root state at depth 0; each solution goes to the
+ * buffer.  Returns before the last flush. */
+static int run(struct search *s, long long max_solutions, double deadline)
 {
     const int rw = s->rw, nc = s->n_cols;
     long long nsol = 0;
@@ -199,7 +235,8 @@ descend:
     {
         int h = choose(keys_at(s, depth), nc);
         if (h < 0) {
-            on_solution(s->sel, depth);
+            if (put_solution(s, depth))
+                return STOPPED;
             if (++nsol >= max_solutions)
                 return LIMIT;
             goto backtrack;
@@ -222,8 +259,12 @@ try_row:
         todo[w] &= todo[w] - 1;
     }
     s->nodes++;
-    if ((s->nodes & 0xFFFF) == 0 && deadline >= 0 && monotonic_seconds() >= deadline)
-        return TIMED_OUT;
+    if ((s->nodes & 0xFFFF) == 0) {
+        if (flush_solutions(s))
+            return STOPPED;
+        if (deadline >= 0 && monotonic_seconds() >= deadline)
+            return TIMED_OUT;
+    }
     if (select_row(s, depth, x, hrows)) {
         /* an emptied column: the child fails without trying a row */
         restore_rows(s, act + 3 * rw);
@@ -294,24 +335,31 @@ static int build(struct search *s, const int *row_start, const int *cols,
     return 0;
 }
 
-/* Run exhaustive Algorithm X; returns EXHAUSTED, LIMIT or TIMED_OUT, or a
- * negative code for failed allocation or an index out of range.
+/* Run exhaustive Algorithm X; returns EXHAUSTED, LIMIT, TIMED_OUT or
+ * STOPPED (flush returned nonzero), or a negative code for failed
+ * allocation, an index out of range or a buffer shorter than n_cols + 1.
  *
  * Row r covers columns cols[row_start[r]] .. cols[row_start[r + 1] - 1].
  * Constraint k asks for exactly targets[k] of the rows
  * con_rows[con_start[k]] .. con_rows[con_start[k + 1] - 1].  deadline is in
  * CLOCK_MONOTONIC seconds, the clock of Python's time.monotonic() on Linux,
- * and negative for none; it is checked every 65,536 nodes.  on_solution
- * receives each solution's rows in selection order.
+ * and negative for none; it is checked every 65,536 nodes.  Solutions go
+ * to buf, buflen ints long, as described at the top of this file: flush(n)
+ * is called when the next one would not fit, at every clock check and
+ * before an EXHAUSTED, LIMIT or TIMED_OUT return.
  */
 int dlx_solve(int n_cols, int n_rows, const int *row_start, const int *cols,
               int n_cons, const int *con_start, const int *con_rows,
               const int *targets, long long max_solutions, double deadline,
-              solution_fn on_solution, long long *nodes_out)
+              int *buf, int buflen, flush_fn flush, long long *nodes_out)
 {
+    *nodes_out = 0;
+    if (buflen < n_cols + 1)
+        return BAD_INDEX;
     struct search s = {
         .n_cols = n_cols, .n_rows = n_rows, .rw = (n_rows + 63) / 64,
         .stride = 1, .n_cons = n_cons,
+        .buf = buf, .buflen = buflen, .flush = flush,
     };
     for (int r = 0; r < n_rows; r++)
         if (row_start[r + 1] - row_start[r] > s.stride)
@@ -327,7 +375,9 @@ int dlx_solve(int n_cols, int n_rows, const int *row_start, const int *cols,
     if (s.colmask && s.padded && s.cstart && s.cidx && s.target && s.selected && s.alive) {
         status = build(&s, row_start, cols, con_start, con_rows, targets);
         if (!status)
-            status = run(&s, max_solutions, deadline, on_solution);
+            status = run(&s, max_solutions, deadline);
+        if (status >= 0 && status != STOPPED && flush_solutions(&s))
+            status = STOPPED;
     }
     *nodes_out = s.nodes;
     free(s.colmask);

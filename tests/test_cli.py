@@ -40,6 +40,11 @@ def test_help_and_usage_exit_codes(capsys):
         code, _, err = run(capsys, ["table-row", "G_8_1", "--timeout", value])
         assert code == 2
         assert "--timeout" in err
+    for verb in (["solve", "problem.txt"], ["table-row", "G_8_1"], ["table-all"]):
+        for value in ("0", "-3", "two"):
+            code, _, err = run(capsys, [*verb, "--max-solutions", value])
+            assert code == 2
+            assert "--max-solutions" in err
 
 
 def test_verify_theory_text(capsys):
@@ -98,6 +103,10 @@ def check_stages(report):
     assert set(report["stages"]) == STAGES
     assert all(s >= 0 for s in report["stages"].values())
     assert sum(report["stages"].values()) <= report["elapsed"]
+    solve = report["stages"]["solve"]
+    assert report["nodes_per_s"] == pytest.approx(
+        report["nodes"] / solve if solve else 0.0
+    )
 
 
 def test_table_reports_time_each_stage(capsys):
@@ -108,12 +117,15 @@ def test_table_reports_time_each_stage(capsys):
     assert list(report) == sorted(report)
     check_stages(report)
     assert report["stages"]["solve"] > 0
+    assert report["nodes_per_s"] > 0
     code, out, _ = run(capsys, ["table-all", "--timeout", "0", "--json"])
     assert code == 0
     reports = json.loads(out)["reports"]
     assert len(reports) == 25
     for report in reports:
         check_stages(report)
+    # a screen decides these rows: no search, no rate
+    assert {r["nodes_per_s"] for r in reports if r["stages"]["solve"] == 0} == {0}
 
 
 def test_table_row_zero_row_group(capsys):

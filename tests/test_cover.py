@@ -1,14 +1,18 @@
+import ctypes
 import itertools
 import math
+import os
 import random
 import shutil
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
+import gf2designs
 from gf2designs import _dlx_py
 from gf2designs.cover import (
     CoverProblem,
@@ -21,7 +25,10 @@ from gf2designs.cover import (
     emit_problem,
     parse_problem,
 )
+from gf2designs.gf2 import GF2Matrix
 from gf2designs.grassmannian import enumerate_subspaces
+from gf2designs.km import build_km_matrix, reduce_km, to_cover_problem
+from gf2designs.orbits import group_closure
 
 KNUTH_ROWS = ((2, 4, 5), (0, 3, 6), (1, 2, 5), (0, 3), (1, 6), (3, 4, 6))
 
@@ -126,17 +133,21 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 
 @needs_cc
-def test_backends_agree_node_for_node():
+def test_backends_agree_node_for_node(monkeypatch):
     from gf2designs import _dlx
 
-    rng = random.Random(103)
-    for _ in range(300):
-        p = random_problem(rng, with_counts=bool(rng.getrandbits(1)))
-        cons = [(tuple(sorted(m)), t) for m, t in p.count_constraints]
-        # all solutions, then caps of two and one (LIMIT)
-        for cap in (1 << 62, 2, 1):
-            args = (p.n_cols, list(p.rows), cons, cap, -1.0)
-            assert _dlx.solve(*args) == _dlx_py.solve(*args)
+    # the default solution buffer, then its floor of n_cols + 1 ints,
+    # where solutions of differing lengths straddle many batches
+    for buffer in (_dlx._BUFFER, 1):
+        monkeypatch.setattr(_dlx, "_BUFFER", buffer)
+        rng = random.Random(103)
+        for _ in range(300):
+            p = random_problem(rng, with_counts=bool(rng.getrandbits(1)))
+            cons = [(tuple(sorted(m)), t) for m, t in p.count_constraints]
+            # all solutions, then caps of two and one (LIMIT)
+            for cap in (1 << 62, 2, 1):
+                args = (p.n_cols, list(p.rows), cons, cap, -1.0)
+                assert _dlx.solve(*args) == _dlx_py.solve(*args)
 
 
 @needs_cc
@@ -161,6 +172,118 @@ def test_compiled_kernel_rejects_out_of_range_indices():
         _dlx.solve(2, [(0, 2)], [], 1, -1.0)
     with pytest.raises(ValueError):
         _dlx.solve(2, [(0, 1)], [((1,), 1)], 1, -1.0)
+
+
+@needs_cc
+def test_compiled_kernel_stops_on_keyboard_interrupt():
+    # the 22-column instance above with no deadline: only the interrupt
+    # can end it.  A child process runs it, so a kernel that misses the
+    # interrupt fails this test instead of hanging the suite.
+    code = textwrap.dedent(
+        """
+        import itertools, signal, time
+        from gf2designs import _dlx
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        signal.signal(signal.SIGALRM, interrupt)
+        rows = list(itertools.combinations(range(22), 3))
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            _dlx.solve(22, rows, [], 1, -1.0)
+        except KeyboardInterrupt:
+            print(time.monotonic() - start)
+        """
+    )
+    src = str(Path(gf2designs.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout, "the search ended without KeyboardInterrupt"
+    assert float(proc.stdout) < 2.0
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.fixture(params=[None, 1], ids=["default-buffer", "buffer-1"])
+def compiled(request, monkeypatch):
+    """The compiled kernel with its solution buffer at the default size,
+    or at its floor of n_cols + 1 ints: a flush every solution or two."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler 'cc'")
+    from gf2designs import _dlx
+
+    if request.param is not None:
+        monkeypatch.setattr(_dlx, "_BUFFER", request.param)
+    return _dlx
+
+
+def trivial_spreads(v, k):
+    """The k-spreads of F_2^v: (v, t, k) = (v, 1, k) under the trivial group."""
+    group = group_closure((GF2Matrix.identity(v),), name=f"trivial{v}")
+    return to_cover_problem(reduce_km(build_km_matrix(group, 1, k, v), 1), 1)
+
+
+def test_batches_hold_the_56_spreads_of_f2_4(compiled):
+    p = trivial_spreads(4, 2)
+    args = (p.n_cols, list(p.rows), [], 1 << 62, -1.0)
+    status, solutions, nodes = compiled.solve(*args)
+    assert (status, solutions, nodes) == _dlx_py.solve(*args)
+    assert status == compiled.EXHAUSTED
+    assert len(solutions) == 56
+    for sol in solutions:
+        assert type(sol) is tuple and list(sol) == sorted(set(sol))
+        assert check_solution(p, sol)
+    for k in (1, 2, 5, 55, 56):
+        capped = (p.n_cols, list(p.rows), [], k, -1.0)
+        assert compiled.solve(*capped)[:2] == (compiled.LIMIT, solutions[:k])
+        assert compiled.solve(*capped) == _dlx_py.solve(*capped)
+
+
+def test_batches_cut_by_a_deadline_hold_only_valid_solutions(compiled):
+    p = trivial_spreads(6, 3)
+    deadline = time.monotonic() + 0.05
+    status, solutions, nodes = compiled.solve(
+        p.n_cols, list(p.rows), [], 1 << 62, deadline
+    )
+    assert status == compiled.TIMED_OUT
+    assert 0 < len(set(solutions)) == len(solutions) < 1_904_640
+    assert all(check_solution(p, sol) for sol in solutions)
+
+
+@needs_cc
+def test_kernel_rejects_a_short_solution_buffer():
+    from gf2designs import _dlx
+
+    row_start, cols = _dlx._csr(KNUTH_ROWS)
+    con_start, members = _dlx._csr([])
+    flushed = []
+
+    def call(size):
+        buf = (ctypes.c_int * size)()
+
+        @_dlx._FLUSH
+        def flush(n):
+            flushed.extend(buf[:n])
+            return 0
+
+        return _dlx._dlx_solve(
+            7, len(KNUTH_ROWS), row_start, cols, 0, con_start, members,
+            (ctypes.c_int * 0)(), 1 << 62, -1.0, buf, size, flush,
+            ctypes.byref(ctypes.c_longlong()),
+        )
+
+    for size in (1, 7):
+        with pytest.raises(ValueError, match="buffer"):
+            call(size)
+    assert flushed == []
+    assert call(8) == _dlx.EXHAUSTED
+    assert flushed == [3, 0, 3, 4]
 
 
 def test_kernel_benchmark_script_runs():
