@@ -8,11 +8,13 @@ by a sha256 of the source, the compile command, the operating system and
 the machine architecture, and ``ctypes`` loads it.  A failed compile
 raises ImportError carrying the compiler's stderr.
 
-The kernel writes solutions into a buffer owned by ``solve`` and hands
-them over in batches through one flush callback, which turns each batch
-into tuples.  The kernel also calls it every 65,536 nodes, so an
-exception raised meanwhile, such as KeyboardInterrupt on Ctrl-C, stops
-the search there and is raised once the kernel returns.
+The kernel writes solutions into two buffers owned by ``solve``, their
+rows and their end offsets, and hands them over in batches through one
+flush callback, which appends each batch to a ``Solutions`` with two
+copies and makes no Python object per solution.  The kernel also calls
+it every 65,536 nodes, so an exception raised meanwhile, such as
+KeyboardInterrupt on Ctrl-C, stops the search there and is raised once
+the kernel returns.
 """
 
 import ctypes
@@ -21,7 +23,10 @@ import os
 import platform
 import subprocess
 import tempfile
+from array import array
 from pathlib import Path
+
+from .packed import Solutions
 
 BACKEND = "c"
 
@@ -29,9 +34,10 @@ EXHAUSTED = 0
 LIMIT = 1
 TIMED_OUT = 2
 
-# ints of solution buffer per batch; solve makes room for one solution
-# of n_cols rows whatever this is
-_BUFFER = 1 << 16
+# row ids per batch, with room for a quarter as many end offsets (int64):
+# 192 KB in all.  solve makes room for one solution of n_cols rows
+# whatever this is.
+_BUFFER = 1 << 15
 
 _SOURCE = Path(__file__).with_name("dlx_kernel.c")
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
@@ -70,6 +76,7 @@ def _library() -> Path:
 
 
 _INTS = ctypes.POINTER(ctypes.c_int)
+_LONGS = ctypes.POINTER(ctypes.c_longlong)
 _FLUSH = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 
 try:
@@ -80,8 +87,8 @@ _dlx_solve.argtypes = [
     ctypes.c_int, ctypes.c_int, _INTS, _INTS,  # columns, rows
     ctypes.c_int, _INTS, _INTS, _INTS,  # constraints
     ctypes.c_longlong, ctypes.c_double,
-    _INTS, ctypes.c_int, _FLUSH,  # solution buffer, its length, flush
-    ctypes.POINTER(ctypes.c_longlong),
+    _INTS, ctypes.c_int, _LONGS, ctypes.c_int,  # rows, end offsets
+    _FLUSH, _LONGS,
 ]
 _dlx_solve.restype = ctypes.c_int
 
@@ -92,8 +99,8 @@ def _check(status, func, args):
         raise MemoryError("dlx_kernel: out of memory")
     if status < 0:
         raise ValueError(
-            "dlx_kernel: column or row index out of range, or solution "
-            "buffer shorter than n_cols + 1"
+            "dlx_kernel: column or row index out of range, or a solution "
+            "buffer too short: rows below n_cols or no end offset"
         )
     return status
 
@@ -110,26 +117,31 @@ def _csr(groups):
     return (ctypes.c_int * len(start))(*start), (ctypes.c_int * len(flat))(*flat)
 
 
-def _receive(buf, row_id, solutions, failed):
+def _buffer(code, size):
+    """A zeroed array for the kernel to write, and the ctypes view it gets."""
+    buf = array(code, [0]) * size
+    ctype = ctypes.c_int if code == "i" else ctypes.c_longlong
+    return buf, (ctype * size).from_buffer(buf)
+
+
+def _receive(rows, ends, solutions, failed):
     """Generator behind the flush callback; each ``send(n)`` returns 0 or 1.
 
-    It appends the solutions in the first n ints of ``buf`` (a length,
-    then that many row ids) to ``solutions`` as tuples of ``row_id``'s
-    ints.  On an exception it keeps it in ``failed`` and returns 1, which
-    stops the search.  The callback is a generator's send, not a
-    function: Python runs pending signal handlers on entering a function,
-    before any try block, and ctypes would print and drop what they raise;
-    a generator resumes inside its try block.
+    It appends the first n end offsets in ``ends`` and the rows they
+    close in ``rows`` to ``solutions``.  On an exception it keeps it in
+    ``failed`` and returns 1, which stops the search.  The callback is a
+    generator's send, not a function: Python runs pending signal handlers
+    on entering a function, before any try block, and ctypes would print
+    and drop what they raise; a generator resumes inside its try block.
     """
+    rows, ends = memoryview(rows).cast("B"), memoryview(ends).cast("B")
+    row_size, end_size = solutions.rows.itemsize, solutions.starts.itemsize
     n = yield
     while True:
         try:
-            ids = list(map(row_id, buf[:n]))
-            i = 0
-            while i < n:
-                end = i + 1 + ids[i]
-                solutions.append(tuple(ids[i + 1 : end]))
-                i = end
+            done = solutions.starts[-1]
+            solutions.starts.frombytes(ends[: n * end_size])
+            solutions.rows.frombytes(rows[: (solutions.starts[-1] - done) * row_size])
             n = yield 0
         except GeneratorExit:
             raise
@@ -144,18 +156,16 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
     rows: sequence of nonempty, strictly ascending column-index tuples.
     constraints: sequence of (row-id tuple, exact target) pairs.
     deadline: time.monotonic() deadline, negative for none.
-    Each solution is an ascending tuple of row ids.
+    ``solutions`` is a ``Solutions``, whose rows read as ascending tuples
+    of row ids.
     """
     row_start, cols = _csr(rows)
     con_start, members = _csr(m for m, _ in constraints)
     targets = (ctypes.c_int * len(constraints))(*(t for _, t in constraints))
-    size = max(_BUFFER, n_cols + 1)
-    buf = (ctypes.c_int * size)()
-    solutions, failed = [], []
-    # every solution refers to these row ids instead of holding new ints;
-    # the lengths pass through them too, and none exceeds the row count
-    row_id = list(range(len(rows) + 1)).__getitem__
-    receiver = _receive(buf, row_id, solutions, failed)
+    rows_buf, rows_c = _buffer("i", max(_BUFFER, n_cols))
+    ends_buf, ends_c = _buffer("q", max(_BUFFER // 4, 1))
+    solutions, failed = Solutions(), []
+    receiver = _receive(rows_buf, ends_buf, solutions, failed)
     next(receiver)
     flush = _FLUSH(receiver.send)
     nodes = ctypes.c_longlong()
@@ -163,7 +173,7 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
         n_cols, len(rows), row_start, cols,
         len(constraints), con_start, members, targets,
         min(max_solutions, (1 << 63) - 1), deadline,
-        buf, size, flush,
+        rows_c, len(rows_c), ends_c, len(ends_c), flush,
         ctypes.byref(nodes),
     )
     if failed:

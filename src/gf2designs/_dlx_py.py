@@ -17,6 +17,8 @@ consistent along the whole search tree.
 
 import time
 
+from .packed import Solutions
+
 BACKEND = "python"
 
 EXHAUSTED = 0
@@ -30,7 +32,8 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
     rows: sequence of nonempty, strictly ascending column-index tuples.
     constraints: sequence of (row-id tuple, exact target) pairs.
     deadline: time.monotonic() deadline, negative for none.
-    Each solution is an ascending tuple of row ids.
+    ``solutions`` is a ``Solutions``, whose rows read as ascending tuples
+    of row ids.
     """
     nh = n_cols + 1
     left = [h - 1 if h else nh - 1 for h in range(nh)]
@@ -134,7 +137,8 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
             c = right[c]
         return best
 
-    solutions = []
+    solutions = Solutions()
+    sol_rows, sol_starts = solutions.rows, solutions.starts
     sel_rows = []
     stack = []
     nodes = 0
@@ -147,7 +151,8 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
                 mode = 2
                 continue
             if right[0] == 0:
-                solutions.append(tuple(sorted(sel_rows)))
+                sol_rows.extend(sorted(sel_rows))
+                sol_starts.append(len(sol_rows))
                 if len(solutions) >= max_solutions:
                     status = LIMIT
                     break

@@ -54,13 +54,7 @@ from .km import (
     reduce_km,
     to_cover_problem,
 )
-from .orbits import (
-    fixed_subspaces,
-    group_closure,
-    orbits,
-    read_orbit_cache,
-    write_orbit_cache,
-)
+from .orbits import fixed_subspaces, group_closure, orbits
 
 T_DIM = 2
 K_DIM = 3
@@ -82,10 +76,6 @@ VERDICT_CONSISTENT = {
 
 class UsageError(ValueError):
     """Bad flag/verb combination detected after argument parsing."""
-
-
-class OrbitCacheError(ValueError):
-    """An orbit cache file exists but belongs to a different computation."""
 
 
 @dataclass(frozen=True)
@@ -152,24 +142,7 @@ def _timed(stages, name):
         stages[name] += time.monotonic() - start
 
 
-def _orbit_layer(group, r, cache_dir):
-    """Compute one orbit partition, consulting/filling the cache directory."""
-    if cache_dir is None:
-        return orbits(group, V_DIM, r)
-    cache_dir = Path(cache_dir)
-    path = cache_dir / f"{catalog.file_stem(group.name)}_r{r}.orb"
-    if path.exists():
-        part, name, order = read_orbit_cache(path)
-        if (name, order, part.v, part.r) != (group.name, group.order, V_DIM, r):
-            raise OrbitCacheError(f"{path} was written for a different computation")
-        return part
-    part = orbits(group, V_DIM, r)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    write_orbit_cache(path, part, group)
-    return part
-
-
-def _pipeline(name, cache_dir, stages=None):
+def _pipeline(name, stages=None):
     """Group, table row, matrix and reduction; stage seconds go to ``stages``."""
     if stages is None:
         stages = dict.fromkeys(STAGES, 0.0)
@@ -178,9 +151,9 @@ def _pipeline(name, cache_dir, stages=None):
         row = catalog.table_row(name)
         group = spec.closure()
     with _timed(stages, "t_orbits"):
-        t_part = _orbit_layer(group, T_DIM, cache_dir)
+        t_part = orbits(group, V_DIM, T_DIM)
     with _timed(stages, "k_orbits"):
-        k_part = _orbit_layer(group, K_DIM, cache_dir)
+        k_part = orbits(group, V_DIM, K_DIM)
     with _timed(stages, "km_build"):
         matrix = build_km_matrix(
             group, T_DIM, K_DIM, V_DIM, row_part=t_part, col_part=k_part
@@ -207,9 +180,7 @@ def _fixed_block_constraint(spec, reduced):
 def _run_group(name, args):
     start = time.monotonic()
     stages = dict.fromkeys(STAGES, 0.0)
-    spec, row, matrix, reduced = _pipeline(
-        name, getattr(args, "orbit_cache", None), stages
-    )
+    spec, row, matrix, reduced = _pipeline(name, stages)
     dump_path = getattr(args, "dump_km", None)
     if dump_path:
         Path(dump_path).write_text(dump_km(matrix, LAMBDA))
@@ -474,7 +445,7 @@ def cmd_orbits(args):
     spec = catalog.load_group(args.name)
     row = catalog.table_row(args.name)
     group = spec.closure()
-    part = _orbit_layer(group, args.layer, args.orbit_cache)
+    part = orbits(group, V_DIM, args.layer)
     sig = part.signature()
     expected = {T_DIM: row.t_signature, K_DIM: row.k_signature}.get(args.layer)
     matched = expected is None or sig == expected
@@ -504,7 +475,7 @@ def cmd_orbits(args):
 
 
 def cmd_km_build(args):
-    spec, row, matrix, reduced = _pipeline(args.name, args.orbit_cache)
+    spec, row, matrix, reduced = _pipeline(args.name)
     if args.dump_km:
         Path(args.dump_km).write_text(dump_km(matrix, LAMBDA))
     screen = feasibility_screen(reduced, LAMBDA)
@@ -570,14 +541,6 @@ def build_parser():
     def add_json(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def add_cache(sp):
-        sp.add_argument(
-            "--orbit-cache",
-            metavar="DIR",
-            default=None,
-            help="directory holding reusable orbit partition files",
-        )
-
     tr = sub.add_parser("table-row", help="reproduce one catalog row end to end")
     tr.add_argument("name", help="catalog group, e.g. G_{4,2} or G_4_2")
     tr.add_argument("--max-solutions", type=_solution_cap, default=1, metavar="N")
@@ -588,14 +551,12 @@ def build_parser():
     )
     tr.add_argument("--dump-km", metavar="PATH", help="write the incidence matrix")
     add_timeout(tr)
-    add_cache(tr)
     add_json(tr)
     tr.set_defaults(func=cmd_table_row)
 
     ta = sub.add_parser("table-all", help="reproduce every catalog row")
     ta.add_argument("--max-solutions", type=_solution_cap, default=1, metavar="N")
     add_timeout(ta)
-    add_cache(ta)
     add_json(ta)
     ta.set_defaults(func=cmd_table_all)
 
@@ -614,14 +575,12 @@ def build_parser():
     ob = sub.add_parser("orbits", help="orbit partition of one subspace layer")
     ob.add_argument("name", help="catalog group")
     ob.add_argument("layer", type=int, choices=range(0, V_DIM + 1), metavar="LAYER")
-    add_cache(ob)
     add_json(ob)
     ob.set_defaults(func=cmd_orbits)
 
     kb = sub.add_parser("km-build", help="build and reduce the incidence matrix")
     kb.add_argument("name", help="catalog group")
     kb.add_argument("--dump-km", metavar="PATH", help="write the incidence matrix")
-    add_cache(kb)
     add_json(kb)
     kb.set_defaults(func=cmd_km_build)
 
@@ -645,7 +604,7 @@ def main(argv=None):
     except UnknownGroupError as exc:
         print(f"unknown group: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (CatalogFormatError, OrbitCacheError, OSError, ValueError) as exc:
+    except (CatalogFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+from .packed import Solutions
+
 if os.environ.get("GF2DESIGNS_PURE_PY"):
     from . import _dlx_py as _kernel
 else:
@@ -123,10 +125,12 @@ class SolveResult:
     found, UNSAT only after exhaustion.  ``exhausted`` records whether
     the whole space was searched, so SAT + exhausted means ``solutions``
     is the complete solution list (up to the requested cap).
+    ``solutions`` stores the row ids flat; each solution reads as an
+    ascending tuple, and the whole equals the tuple of those tuples.
     """
 
     status: Status
-    solutions: tuple[tuple[int, ...], ...]
+    solutions: Solutions
     nodes: int
     elapsed: float
     exhausted: bool
@@ -227,9 +231,10 @@ def dlx_solve(
 
     ``max_solutions=None`` enumerates every solution.  ``timeout`` is
     wall seconds, finite and >= 0; ``None`` searches without a deadline.
-    Each solution is an ascending tuple of row ids.  The kernels hand
-    back ascending tuples, which are remapped only when a row was forced
-    or dropped.  An exception raised during a compiled search, such as
+    Each solution reads as an ascending tuple of row ids.  The kernels
+    hand back a ``Solutions`` of kept positions, which is passed out as
+    it is, or rebuilt in the original numbering when a row was forced or
+    dropped.  An exception raised during a compiled search, such as
     KeyboardInterrupt on Ctrl-C, stops it within 65,536 nodes and
     propagates from here.
     """
@@ -242,14 +247,13 @@ def dlx_solve(
     deadline = -1.0 if timeout is None else start + timeout
     n_cols, rows, cons, kept = _reduce(p)
     code, solutions, nodes = _kernel.solve(n_cols, rows, cons, cap, deadline)
-    # the kernels return ascending tuples of kept positions, which are the
-    # final solutions when every row was kept
+    # the kernels return ascending kept positions, which are the final
+    # solutions when every row was kept
     if len(kept) < p.n_rows:
-        # remap in place: the kernel's solutions and the result tuples
-        # are never both whole in memory
         forced = sorted(p.forced)
-        for i, sol in enumerate(solutions):
-            solutions[i] = tuple(sorted([kept[j] for j in sol] + forced))
+        solutions = Solutions.of(
+            sorted([kept[j] for j in sol] + forced) for sol in solutions
+        )
     if solutions:
         status = Status.SAT
     elif code == _kernel.TIMED_OUT:
@@ -258,7 +262,7 @@ def dlx_solve(
         status = Status.UNSAT
     return SolveResult(
         status=status,
-        solutions=tuple(solutions),
+        solutions=solutions,
         nodes=nodes,
         elapsed=time.monotonic() - start,
         exhausted=code == _kernel.EXHAUSTED,
@@ -266,7 +270,16 @@ def dlx_solve(
 
 
 def emit_problem(p: CoverProblem) -> str:
-    """Serialize: a ``p cover`` header, row lines, then f/c lines."""
+    """Serialize: a ``p cover`` header, row lines, then f/c lines.
+
+    Forbidden rows have no file syntax, so a problem with any is refused
+    with ValueError rather than written as a different problem.
+    """
+    if p.forbidden:
+        raise ValueError(
+            f"forbidden rows {sorted(p.forbidden)} cannot be written: "
+            "the problem file format has no syntax for them"
+        )
     lines = [f"p cover {p.n_cols} {p.n_rows}"]
     for row in p.rows:
         lines.append(" ".join(str(c) for c in row))

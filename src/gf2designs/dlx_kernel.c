@@ -7,12 +7,15 @@
  * order.  Built into a shared library on first import and called through
  * ctypes by _dlx.py.
  *
- * Solutions leave the kernel in batches: each is written into a buffer the
- * caller owns, as its length and then its rows in ascending order, and
- * the caller's flush callback takes the buffer whenever the next solution
- * would not fit, at every clock check and once before the search returns.
- * A nonzero return from flush stops the search, so the caller can act on
- * Ctrl-C or a failure of its own within 65,536 nodes.
+ * Solutions leave the kernel in batches, in two buffers the caller owns:
+ * the rows of each solution, in ascending order, go back to back into
+ * one, and the solution's end offset, a running count of the rows of all
+ * solutions so far, into the other.  The caller's flush callback takes a
+ * batch whenever the next solution would not fit, at every clock check
+ * and once before the search returns, so the caller can append it to
+ * flat arrays with two copies.  A nonzero return from flush stops the
+ * search, so the caller can act on Ctrl-C or a failure of its own within
+ * 65,536 nodes.
  *
  * The state at each depth is a bitset of the active rows (those meeting
  * no covered column) and, per column, a key: its count of active rows,
@@ -41,7 +44,7 @@ enum { NO_MEMORY = -1, BAD_INDEX = -2 };
 #define COVERED (1 << 30)
 
 typedef uint64_t word;
-/* takes the first n ints of the solution buffer; nonzero stops the search */
+/* takes the first n solutions of the buffers; nonzero stops the search */
 typedef int (*flush_fn)(int n);
 
 /* The matrix and the search state; depth d owns 4 bitsets and n_cols + 1
@@ -57,7 +60,9 @@ struct search {
     int *keys, *sel;
     int *selected, *alive, nviol;
     long long nodes;
-    int *buf, buflen, used; /* solution buffer and the ints written to it */
+    int *buf, buflen, used; /* rows of the buffered solutions, ints written */
+    long long *ends, total; /* their end offsets; rows of all solutions */
+    int endslen, nends;     /* room for end offsets, offsets written */
     flush_fn flush;
 };
 
@@ -163,27 +168,28 @@ static int reserve(struct search *s, int depth)
 /* Hand the buffered solutions to the caller; nonzero to stop. */
 static int flush_solutions(struct search *s)
 {
-    int stop = s->flush(s->used);
-    s->used = 0;
+    int stop = s->flush(s->nends);
+    s->used = s->nends = 0;
     return stop;
 }
 
-/* Append the solution sel[0 .. depth - 1] to the buffer, flushing first if
- * it would not fit: its length, then its rows in ascending order (an
- * insertion sort; a solution has at most n_cols rows). */
+/* Append the solution sel[0 .. depth - 1] to the buffers, flushing first if
+ * it would not fit: its rows in ascending order (an insertion sort; a
+ * solution has at most n_cols rows), then its end offset. */
 static int put_solution(struct search *s, int depth)
 {
-    if (s->used + depth + 1 > s->buflen && flush_solutions(s))
+    if ((s->used + depth > s->buflen || s->nends == s->endslen) && flush_solutions(s))
         return STOPPED;
-    int *rows = s->buf + s->used + 1;
-    rows[-1] = depth;
+    int *rows = s->buf + s->used;
     for (int i = 0; i < depth; i++) {
         int x = s->sel[i], j = i;
         for (; j > 0 && rows[j - 1] > x; j--)
             rows[j] = rows[j - 1];
         rows[j] = x;
     }
-    s->used += depth + 1;
+    s->used += depth;
+    s->total += depth;
+    s->ends[s->nends++] = s->total;
     return 0;
 }
 
@@ -337,29 +343,33 @@ static int build(struct search *s, const int *row_start, const int *cols,
 
 /* Run exhaustive Algorithm X; returns EXHAUSTED, LIMIT, TIMED_OUT or
  * STOPPED (flush returned nonzero), or a negative code for failed
- * allocation, an index out of range or a buffer shorter than n_cols + 1.
+ * allocation, an index out of range, a rows buffer shorter than n_cols or
+ * no room for an end offset.
  *
  * Row r covers columns cols[row_start[r]] .. cols[row_start[r + 1] - 1].
  * Constraint k asks for exactly targets[k] of the rows
  * con_rows[con_start[k]] .. con_rows[con_start[k + 1] - 1].  deadline is in
  * CLOCK_MONOTONIC seconds, the clock of Python's time.monotonic() on Linux,
  * and negative for none; it is checked every 65,536 nodes.  Solutions go
- * to buf, buflen ints long, as described at the top of this file: flush(n)
- * is called when the next one would not fit, at every clock check and
+ * to buf, buflen ints long, and their end offsets to ends, endslen long
+ * longs long, as described at the top of this file: flush(n) hands over n
+ * solutions when the next one would not fit, at every clock check and
  * before an EXHAUSTED, LIMIT or TIMED_OUT return.
  */
 int dlx_solve(int n_cols, int n_rows, const int *row_start, const int *cols,
               int n_cons, const int *con_start, const int *con_rows,
               const int *targets, long long max_solutions, double deadline,
-              int *buf, int buflen, flush_fn flush, long long *nodes_out)
+              int *buf, int buflen, long long *ends, int endslen, flush_fn flush,
+              long long *nodes_out)
 {
     *nodes_out = 0;
-    if (buflen < n_cols + 1)
+    if (buflen < n_cols || endslen < 1)
         return BAD_INDEX;
     struct search s = {
         .n_cols = n_cols, .n_rows = n_rows, .rw = (n_rows + 63) / 64,
         .stride = 1, .n_cons = n_cons,
-        .buf = buf, .buflen = buflen, .flush = flush,
+        .buf = buf, .buflen = buflen, .ends = ends, .endslen = endslen,
+        .flush = flush,
     };
     for (int r = 0; r < n_rows; r++)
         if (row_start[r + 1] - row_start[r] > s.stride)

@@ -168,34 +168,3 @@ def fixed_subspaces(group: MatrixGroup, v: int, r: int) -> list[Subspace]:
         sub for i, sub in enumerate(layer) if all(perm[i] == i for perm in perms)
     ]
 
-
-def write_orbit_cache(path, part: OrbitPartition, group: MatrixGroup) -> None:
-    """Persist a partition: a header line, then one orbit id per subspace index."""
-    name = group.name or "anonymous"
-    if any(ch.isspace() for ch in name):
-        raise ValueError("group name must not contain whitespace")
-    with open(path, "w") as fh:
-        fh.write(f"orbits {part.v} {part.r} {name} {group.order}\n")
-        for oid in part.orbit_of:
-            fh.write(f"{oid}\n")
-
-
-def read_orbit_cache(path) -> tuple[OrbitPartition, str, int]:
-    """Reload a cached partition; returns (partition, group name, group order)."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "orbits":
-            raise ValueError(f"{path}: bad orbit cache header")
-        v, r = int(header[1]), int(header[2])
-        name, order = header[3], int(header[4])
-        orbit_of = [int(line) for line in fh if line.strip()]
-    n = len(enumerate_subspaces(v, r))
-    if len(orbit_of) != n:
-        raise ValueError(f"{path}: expected {n} entries, got {len(orbit_of)}")
-    next_id = 0
-    for oid in orbit_of:
-        if oid == next_id:
-            next_id += 1
-        elif not 0 <= oid < next_id:
-            raise ValueError(f"{path}: orbit ids must appear in first-seen order")
-    return _partition(v, r, orbit_of, next_id), name, order

@@ -5,11 +5,13 @@ Orbit ids, orbit lengths, incidence tables and matrix entries live in
 their largest value.  Ragged rows are stored flat: row ``i`` spans
 ``starts[i]:starts[i + 1]`` of the value arrays.  The row containers
 read like the tuples they replace: indexing (negative indices too),
-slicing, ``len`` and iteration all work.
+slicing, ``len`` and iteration all work.  A search's solutions are
+stored the same way, as C ints, by ``Solutions``.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Sequence
 
@@ -93,3 +95,83 @@ class PairRows(_Rows):
     def _row(self, i: int) -> tuple[tuple[int, int], ...]:
         a, b = self.starts[i], self.starts[i + 1]
         return tuple(zip(self.cols[a:b], self.vals[a:b]))
+
+
+class Solutions(_Rows):
+    """Solutions of an exact-cover search; row ``i`` reads as a tuple.
+
+    The row ids of all solutions lie back to back in ``rows``, a C-int
+    array, and ``starts`` (int64) holds 0 and then each solution's end
+    offset.  Both search kernels append to these arrays as they go.  The
+    container equals, and hashes like, the tuple of tuples it stands for.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: array | None = None, starts: array | None = None):
+        self.rows = array("i") if rows is None else rows
+        self.starts = array("q", [0]) if starts is None else starts
+
+    @classmethod
+    def of(cls, solutions) -> Solutions:
+        """Store an iterable of row-id sequences."""
+        out = cls()
+        for sol in solutions:
+            out.rows.extend(sol)
+            out.starts.append(len(out.rows))
+        return out
+
+    def _arrays(self):
+        return self.starts, self.rows
+
+    def _row(self, i: int) -> tuple[int, ...]:
+        return tuple(self.rows[self.starts[i] : self.starts[i + 1]])
+
+    def __eq__(self, other):
+        if isinstance(other, Solutions):
+            return self._arrays() == other._arrays()
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            isinstance(b, Sequence) and a == tuple(b) for a, b in zip(self, other)
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def _width(self) -> int | None:
+        """The length every solution has, or None if they differ or there
+        are none."""
+        n, s = len(self), self.starts
+        if not n or len(self.rows) != s[1] * n:
+            return None
+        m = s[1]
+        if m:
+            # compare the offsets with 0, m, 2m, ... a chunk at a time, so
+            # the check makes no temporary as large as the offsets
+            step = 1 << 16
+            for i in range(0, n + 1, step):
+                j = min(i + step, n + 1)
+                if s[i:j] != array("q", range(i * m, j * m, m)):
+                    return None
+        return m
+
+    @property
+    def __array_interface__(self) -> dict:
+        """numpy's view of equal-length solutions as an (n, m) int array.
+
+        Absent, as for a tuple of tuples, when the lengths differ or there
+        is no solution; numpy then reads the rows one by one.
+        """
+        m = self._width()
+        if m is None:
+            raise AttributeError("__array_interface__")
+        return {
+            "shape": (len(self), m),
+            "typestr": f"{'<' if sys.byteorder == 'little' else '>'}i{self.rows.itemsize}",
+            "data": memoryview(self.rows).toreadonly(),
+            "version": 3,
+        }

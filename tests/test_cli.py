@@ -245,27 +245,6 @@ def test_orbits_verb_without_expectation(capsys):
     )
 
 
-def test_orbit_cache_roundtrip(tmp_path, capsys):
-    args = ["orbits", "G_31", "3", "--orbit-cache", str(tmp_path), "--json"]
-    code, first, _ = run(capsys, args)
-    assert code == 0
-    cache = tmp_path / "G_31_r3.orb"
-    assert cache.exists()
-    code, second, _ = run(capsys, args)
-    assert code == 0
-    assert json.loads(first) == json.loads(second)
-
-
-def test_orbit_cache_mismatch_is_an_error(tmp_path, capsys):
-    argv = ["orbits", "G_31", "3", "--orbit-cache", str(tmp_path), "--json"]
-    assert run(capsys, argv)[0] == 0
-    # masquerade the G_31 cache as a G_2 cache
-    (tmp_path / "G_2_r3.orb").write_bytes((tmp_path / "G_31_r3.orb").read_bytes())
-    code, _, err = run(capsys, ["orbits", "G_2", "3", "--orbit-cache", str(tmp_path)])
-    assert code == 1
-    assert "different computation" in err
-
-
 def test_km_build_with_dump(tmp_path, capsys):
     dump_path = tmp_path / "g31.km"
     code, out, _ = run(

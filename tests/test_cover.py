@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import itertools
 import math
 import os
@@ -229,6 +230,11 @@ def trivial_spreads(v, k):
     return to_cover_problem(reduce_km(build_km_matrix(group, 1, k, v), 1), 1)
 
 
+# sha256 of repr(tuple(solutions)) for the 56 line spreads of F_2^4, taken
+# when the kernels still returned lists of tuples
+F2_4_SPREADS_SHA256 = "12c952fadebee836a1e254be3665b8e61fbd9fee0bf65d7cfafc2b1496ab2109"
+
+
 def test_batches_hold_the_56_spreads_of_f2_4(compiled):
     p = trivial_spreads(4, 2)
     args = (p.n_cols, list(p.rows), [], 1 << 62, -1.0)
@@ -236,6 +242,9 @@ def test_batches_hold_the_56_spreads_of_f2_4(compiled):
     assert (status, solutions, nodes) == _dlx_py.solve(*args)
     assert status == compiled.EXHAUSTED
     assert len(solutions) == 56
+    digest = hashlib.sha256(repr(tuple(solutions)).encode()).hexdigest()
+    assert digest == F2_4_SPREADS_SHA256
+    assert dlx_solve(p, max_solutions=None).solutions == solutions
     for sol in solutions:
         assert type(sol) is tuple and list(sol) == sorted(set(sol))
         assert check_solution(p, sol)
@@ -264,26 +273,28 @@ def test_kernel_rejects_a_short_solution_buffer():
     con_start, members = _dlx._csr([])
     flushed = []
 
-    def call(size):
-        buf = (ctypes.c_int * size)()
+    def call(n_rows, n_ends):
+        rows = (ctypes.c_int * n_rows)()
+        ends = (ctypes.c_longlong * n_ends)()
 
         @_dlx._FLUSH
         def flush(n):
-            flushed.extend(buf[:n])
+            flushed.append((rows[: ends[n - 1] if n else 0], ends[:n]))
             return 0
 
         return _dlx._dlx_solve(
             7, len(KNUTH_ROWS), row_start, cols, 0, con_start, members,
-            (ctypes.c_int * 0)(), 1 << 62, -1.0, buf, size, flush,
-            ctypes.byref(ctypes.c_longlong()),
+            (ctypes.c_int * 0)(), 1 << 62, -1.0, rows, n_rows, ends, n_ends,
+            flush, ctypes.byref(ctypes.c_longlong()),
         )
 
-    for size in (1, 7):
+    # a solution of 7 columns may have 7 rows, and needs one end offset
+    for n_rows, n_ends in ((0, 1), (6, 1), (7, 0), (6, 0)):
         with pytest.raises(ValueError, match="buffer"):
-            call(size)
+            call(n_rows, n_ends)
     assert flushed == []
-    assert call(8) == _dlx.EXHAUSTED
-    assert flushed == [3, 0, 3, 4]
+    assert call(7, 1) == _dlx.EXHAUSTED
+    assert flushed == [([0, 3, 4], [3])]
 
 
 def test_kernel_benchmark_script_runs():
@@ -444,6 +455,15 @@ def test_problem_file_roundtrip():
     assert text.startswith("p cover 7 6\n")
     again = parse_problem(text)
     assert again == p
+
+
+def test_problem_file_refuses_forbidden_rows():
+    # the format cannot say "never row 0", so writing this problem would
+    # hand back one with the extra solution (0,)
+    p = CoverProblem(n_cols=2, rows=((0, 1), (0,), (1,)), forbidden={0})
+    assert dlx_solve(p, max_solutions=None).solutions == ((1, 2),)
+    with pytest.raises(ValueError, match=r"forbidden rows \[0\]"):
+        emit_problem(p)
 
 
 def test_problem_file_errors_carry_line_numbers():

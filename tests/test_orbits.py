@@ -9,8 +9,6 @@ from gf2designs.orbits import (
     group_closure,
     fixed_subspaces,
     orbits,
-    read_orbit_cache,
-    write_orbit_cache,
 )
 from gf2designs.grassmannian import gaussian_binomial
 
@@ -101,27 +99,3 @@ def test_orbit_ids_first_seen_and_sorted_members():
     for m in part.members:
         assert list(m) == sorted(m)
 
-
-def test_orbit_cache_roundtrip(tmp_path):
-    g = group_closure([G5_GEN], name="order5")
-    part = orbits(g, 7, 2)
-    path = tmp_path / "o.cache"
-    write_orbit_cache(path, part, g)
-    loaded, name, order = read_orbit_cache(path)
-    assert loaded == part
-    assert name == "order5"
-    assert order == 5
-
-
-def test_orbit_cache_rejects_corruption(tmp_path):
-    g = group_closure([G5_GEN], name="order5")
-    part = orbits(g, 7, 1)
-    path = tmp_path / "o.cache"
-    write_orbit_cache(path, part, g)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")  # drop one entry
-    with pytest.raises(ValueError):
-        read_orbit_cache(path)
-    path.write_text("garbage header\n" + "\n".join(lines[1:]) + "\n")
-    with pytest.raises(ValueError):
-        read_orbit_cache(path)

@@ -7,7 +7,7 @@ import pytest
 from conftest import G5_GEN
 from gf2designs.km import build_km_matrix, reduce_km
 from gf2designs.orbits import group_closure, orbits
-from gf2designs.packed import IntRows, PairRows, packed
+from gf2designs.packed import IntRows, PairRows, Solutions, packed
 
 
 def test_packed_picks_the_narrowest_item_type():
@@ -79,3 +79,74 @@ def test_orbit_partitions_and_kept_columns_are_arrays(order5):
     assert tuple(kept[1:]) == tuple(kept)[1:]
     assert kept[0] == tuple(kept)[0] and kept[-1] == tuple(kept)[-1]
     assert orbits(group_closure([G5_GEN]), 7, 3) == part
+
+
+SOLS = ((0, 3, 4), (1, 2), (5,))
+
+
+def test_solutions_index_slice_and_iterate():
+    s = Solutions.of(SOLS)
+    assert s.rows.typecode == "i" and s.starts.typecode == "q"
+    assert list(s.starts) == [0, 3, 5, 6]
+    assert len(s) == 3
+    assert s[0] == (0, 3, 4) and s[-1] == (5,) and s[-3] == s[0]
+    assert s[1:] == SOLS[1:] and s[::-1] == SOLS[::-1] and s[5:] == ()
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            s[i]
+    assert [type(sol) for sol in s] == [tuple] * 3
+    assert tuple(s) == SOLS
+    assert repr(s) == repr(SOLS)
+
+
+def test_solutions_equal_and_hash_like_tuples():
+    s = Solutions.of(SOLS)
+    assert s == SOLS and SOLS == s
+    assert s == [list(sol) for sol in SOLS] and s == list(SOLS)
+    assert s == Solutions(array("i", [0, 3, 4, 1, 2, 5]), array("q", [0, 3, 5, 6]))
+    assert s != SOLS[:2] and s != SOLS + ((),)
+    assert s != ((0, 3, 4), (1, 2), (6,)) and s != Solutions.of(SOLS[:2])
+    assert s != (0, 3, 4) and s != "abc" and s != 7
+    assert hash(s) == hash(SOLS)
+    assert len({s, SOLS, Solutions.of(SOLS)}) == 1
+
+
+def test_empty_and_one_empty_solution():
+    none, empty = Solutions(), Solutions.of([()])
+    assert len(none) == 0 and not none and none == () and none == []
+    assert tuple(none) == () and repr(none) == "()" and hash(none) == hash(())
+    assert len(empty) == 1 and empty and empty == ((),) and empty[0] == ()
+    assert repr(empty) == "((),)" and hash(empty) == hash(((),))
+    assert none != empty
+
+
+def test_array_interface_only_for_equal_nonempty_rows():
+    square = Solutions.of([(0, 1), (2, 3), (4, 5)])
+    face = square.__array_interface__
+    assert face["shape"] == (3, 2) and face["typestr"][1:] == "i4"
+    assert Solutions.of([()]).__array_interface__["shape"] == (1, 0)
+    # the last has as many row ids as three rows of equal length
+    for ragged in (Solutions(), Solutions.of(SOLS), Solutions.of([(0, 1), (2,), (3, 4, 5)])):
+        assert not hasattr(ragged, "__array_interface__")
+    # equal lengths in the first chunk of offsets checked, ragged after it
+    long = Solutions.of([(i,) for i in range(1 << 16)] + [(0, 1), ()])
+    assert not hasattr(long, "__array_interface__")
+
+
+@pytest.mark.parametrize(
+    "sols",
+    [((0, 1), (2, 3), (4, 5)), ((7,),), ((),), ((), ()), ((0, 3, 4), (1, 2)), ()],
+    ids=["square", "one", "one-empty", "two-empty", "ragged", "none"],
+)
+def test_numpy_reads_solutions_as_it_reads_tuples(sols):
+    np = pytest.importorskip("numpy")
+    s = Solutions.of(sols)
+    try:
+        want = np.array(tuple(s))
+    except ValueError:  # ragged rows: numpy refuses both alike
+        with pytest.raises(ValueError):
+            np.array(s)
+        return
+    got = np.array(s)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.array(s, dtype=np.int16), np.array(sols, dtype=np.int16))
