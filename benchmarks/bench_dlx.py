@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled dancing-links kernel against the pure-Python twin.
+"""Benchmark the compiled bitset kernel against the pure-Python twin.
 
 Both kernels execute the same algorithm with the same column heuristic,
 so node counts must agree exactly; only wall time may differ.  The

@@ -10,11 +10,11 @@ raises ImportError carrying the compiler's stderr.
 
 The kernel writes solutions into two buffers owned by ``solve``, their
 rows and their end offsets, and hands them over in batches through one
-flush callback, which appends each batch to a ``Solutions`` with two
-copies and makes no Python object per solution.  The kernel also calls
-it every 65,536 nodes, so an exception raised meanwhile, such as
-KeyboardInterrupt on Ctrl-C, stops the search there and is raised once
-the kernel returns.
+flush callback, which appends each batch to a ``Solutions``, narrowing
+each C int and int64 to its item types, and makes no Python object per
+solution.  The kernel also calls it every 65,536 nodes, so an exception
+raised meanwhile, such as KeyboardInterrupt on Ctrl-C, stops the search
+there and is raised once the kernel returns.
 """
 
 import ctypes
@@ -26,7 +26,7 @@ import tempfile
 from array import array
 from pathlib import Path
 
-from .packed import Solutions
+from .packed import Solutions, narrowed
 
 BACKEND = "c"
 
@@ -128,20 +128,22 @@ def _receive(rows, ends, solutions, failed):
     """Generator behind the flush callback; each ``send(n)`` returns 0 or 1.
 
     It appends the first n end offsets in ``ends`` and the rows they
-    close in ``rows`` to ``solutions``.  On an exception it keeps it in
-    ``failed`` and returns 1, which stops the search.  The callback is a
-    generator's send, not a function: Python runs pending signal handlers
-    on entering a function, before any try block, and ctypes would print
-    and drop what they raise; a generator resumes inside its try block.
+    close in ``rows`` to ``solutions``, in its narrower item types.  On
+    an exception it keeps it in ``failed`` and returns 1, which stops the
+    search.  The callback is a generator's send, not a function: Python
+    runs pending signal handlers on entering a function, before any try
+    block, and ctypes would print and drop what they raise; a generator
+    resumes inside its try block.
     """
-    rows, ends = memoryview(rows).cast("B"), memoryview(ends).cast("B")
-    row_size, end_size = solutions.rows.itemsize, solutions.starts.itemsize
+    ids = narrowed(rows, solutions.rows.typecode)
     n = yield
     while True:
         try:
-            done = solutions.starts[-1]
-            solutions.starts.frombytes(ends[: n * end_size])
-            solutions.rows.frombytes(rows[: (solutions.starts[-1] - done) * row_size])
+            if n:
+                starts = solutions.starts_for(ends[n - 1])
+                done = starts[-1]
+                starts.frombytes(narrowed(ends, starts.typecode)[:n].tobytes())
+                solutions.rows.frombytes(ids[: starts[-1] - done].tobytes())
             n = yield 0
         except GeneratorExit:
             raise
@@ -164,7 +166,7 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
     targets = (ctypes.c_int * len(constraints))(*(t for _, t in constraints))
     rows_buf, rows_c = _buffer("i", max(_BUFFER, n_cols))
     ends_buf, ends_c = _buffer("q", max(_BUFFER // 4, 1))
-    solutions, failed = Solutions(), []
+    solutions, failed = Solutions.over(len(rows)), []
     receiver = _receive(rows_buf, ends_buf, solutions, failed)
     next(receiver)
     flush = _FLUSH(receiver.send)

@@ -137,8 +137,8 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
             c = right[c]
         return best
 
-    solutions = Solutions()
-    sol_rows, sol_starts = solutions.rows, solutions.starts
+    solutions = Solutions.over(len(rows))
+    sol_rows = solutions.rows
     sel_rows = []
     stack = []
     nodes = 0
@@ -152,7 +152,7 @@ def solve(n_cols, rows, constraints, max_solutions, deadline):
                 continue
             if right[0] == 0:
                 sol_rows.extend(sorted(sel_rows))
-                sol_starts.append(len(sol_rows))
+                solutions.starts_for(len(sol_rows)).append(len(sol_rows))
                 if len(solutions) >= max_solutions:
                     status = LIMIT
                     break

@@ -22,7 +22,11 @@
  * plus COVERED once the column is covered, so choosing a column is one
  * pass for the least key.  Selecting a row copies the keys one depth down
  * and drops the rows it conflicts with; backtracking restores nothing but
- * the exact-count side constraints.  A selection that empties an active
+ * the exact-count side constraints.  Each row has a bitset of the rows it
+ * conflicts with, those sharing a column with it, built when the matrix
+ * is linked, so selecting a row finds the rows to drop in one pass.  That
+ * table takes n_rows * ceil(n_rows / 64) words: 3.1 MB for the 4,947 rows
+ * of G_2, the largest catalog instance.  A selection that empties an active
  * column is abandoned at once, since the search below it would branch on
  * that column and try no row.  The exact-count side constraints are
  * tracked incrementally: `selected` and `alive` count the chosen and the
@@ -52,6 +56,7 @@ typedef int (*flush_fn)(int n);
 struct search {
     int n_cols, n_rows, rw, stride, n_cons;
     word *colmask;      /* rw words per column: the rows that cover it */
+    word *conflict;     /* rw words per row: the rows sharing a column with it */
     int *padded;        /* stride columns per row, padded with n_cols */
     int *cstart, *cidx; /* constraints of row r: cidx[cstart[r] .. cstart[r + 1] - 1] */
     int *target;
@@ -199,23 +204,20 @@ static inline int select_row(struct search *s, int depth, int x, const word *ski
 {
     const int rw = s->rw;
     word *act = bits_at(s, depth), *gone = act + 3 * rw, *next = act + 4 * rw;
+    const word *conflict = s->conflict + (size_t)x * rw;
     int *key = keys_at(s, depth), *nkey = key + s->n_cols + 1;
     memcpy(nkey, key, (s->n_cols + 1) * sizeof *nkey);
     for (int v = 0; v < rw; v++) {
-        next[v] = act[v] & ~skip[v];
-        gone[v] = 0;
+        word live = act[v] & ~skip[v];
+        gone[v] = live & conflict[v];
+        next[v] = live & ~conflict[v];
     }
     for (int p = 0; p < s->stride; p++) {
         int c = s->padded[(size_t)x * s->stride + p];
         if (c == s->n_cols)
             break;
-        const word *rows = s->colmask + (size_t)c * rw;
         nkey[c] += COVERED;
-        for (int v = 0; v < rw; v++)
-            gone[v] |= next[v] & rows[v];
     }
-    for (int v = 0; v < rw; v++)
-        next[v] &= ~gone[v];
     bump(s, x, 1, 0);
     s->sel[depth] = x;
     return drop_rows(s, nkey, gone, 1);
@@ -319,6 +321,14 @@ static int build(struct search *s, const int *row_start, const int *cols,
             key[c]++;
         }
     }
+    for (int r = 0; r < s->n_rows; r++) {
+        word *conflict = s->conflict + (size_t)r * rw;
+        for (int p = row_start[r]; p < row_start[r + 1]; p++) {
+            const word *rows = s->colmask + (size_t)cols[p] * rw;
+            for (int v = 0; v < rw; v++)
+                conflict[v] |= rows[v];
+        }
+    }
     for (int k = 0; k < s->n_cons; k++) {
         s->target[k] = targets[k];
         for (int p = con_start[k]; p < con_start[k + 1]; p++) {
@@ -375,6 +385,7 @@ int dlx_solve(int n_cols, int n_rows, const int *row_start, const int *cols,
         if (row_start[r + 1] - row_start[r] > s.stride)
             s.stride = row_start[r + 1] - row_start[r];
     s.colmask = calloc((size_t)(n_cols + 1) * s.rw + 1, sizeof *s.colmask);
+    s.conflict = calloc((size_t)n_rows * s.rw + 1, sizeof *s.conflict);
     s.padded = malloc(((size_t)n_rows * s.stride + 1) * sizeof *s.padded);
     s.cstart = calloc(n_rows + 1, sizeof *s.cstart);
     s.cidx = malloc((con_start[n_cons] + 1) * sizeof *s.cidx);
@@ -382,7 +393,8 @@ int dlx_solve(int n_cols, int n_rows, const int *row_start, const int *cols,
     s.selected = calloc(n_cons + 1, sizeof *s.selected);
     s.alive = calloc(n_cons + 1, sizeof *s.alive);
     int status = NO_MEMORY;
-    if (s.colmask && s.padded && s.cstart && s.cidx && s.target && s.selected && s.alive) {
+    if (s.colmask && s.conflict && s.padded && s.cstart && s.cidx && s.target && s.selected
+        && s.alive) {
         status = build(&s, row_start, cols, con_start, con_rows, targets);
         if (!status)
             status = run(&s, max_solutions, deadline);
@@ -391,6 +403,7 @@ int dlx_solve(int n_cols, int n_rows, const int *row_start, const int *cols,
     }
     *nodes_out = s.nodes;
     free(s.colmask);
+    free(s.conflict);
     free(s.padded);
     free(s.cstart);
     free(s.cidx);

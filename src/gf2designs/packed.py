@@ -6,7 +6,7 @@ their largest value.  Ragged rows are stored flat: row ``i`` spans
 ``starts[i]:starts[i + 1]`` of the value arrays.  The row containers
 read like the tuples they replace: indexing (negative indices too),
 slicing, ``len`` and iteration all work.  A search's solutions are
-stored the same way, as C ints, by ``Solutions``.
+stored the same way by ``Solutions``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ def packed(values, top: int) -> array:
         if top < bound:
             return array(code, values)
     raise OverflowError(f"{top} does not fit an unsigned 64-bit item")
+
+
+def narrowed(buf: array, code: str) -> memoryview:
+    """The low-order ``code`` item of each item of ``buf``, as a strided
+    view: each item's value wherever it fits the narrower type."""
+    items = memoryview(buf).cast("B").cast(code)
+    step = buf.itemsize // items.itemsize
+    return items[0 if sys.byteorder == "little" else step - 1 :: step]
 
 
 class _Rows(Sequence):
@@ -100,9 +108,10 @@ class PairRows(_Rows):
 class Solutions(_Rows):
     """Solutions of an exact-cover search; row ``i`` reads as a tuple.
 
-    The row ids of all solutions lie back to back in ``rows``, a C-int
-    array, and ``starts`` (int64) holds 0 and then each solution's end
-    offset.  Both search kernels append to these arrays as they go.  The
+    The row ids of all solutions lie back to back in ``rows``, and
+    ``starts`` holds 0 and then each solution's end offset.  Both search
+    kernels start from ``over``, which picks narrow item types, and append
+    to these arrays as they go; ``of`` uses C ints and int64 offsets.  The
     container equals, and hashes like, the tuple of tuples it stands for.
     """
 
@@ -111,6 +120,19 @@ class Solutions(_Rows):
     def __init__(self, rows: array | None = None, starts: array | None = None):
         self.rows = array("i") if rows is None else rows
         self.starts = array("q", [0]) if starts is None else starts
+
+    @classmethod
+    def over(cls, n_rows: int) -> Solutions:
+        """No solutions yet, stored narrow: row ids 0 .. n_rows - 1 in the
+        narrowest unsigned item type that holds them, end offsets in
+        unsigned 32-bit items until one outgrows them."""
+        return cls(packed([], max(n_rows - 1, 0)), array("I", [0]))
+
+    def starts_for(self, end: int) -> array:
+        """``starts``, first widened to 64-bit items if ``end`` does not fit."""
+        if end >> 8 * self.starts.itemsize:
+            self.starts = array("Q", self.starts)
+        return self.starts
 
     @classmethod
     def of(cls, solutions) -> Solutions:
@@ -155,7 +177,7 @@ class Solutions(_Rows):
             step = 1 << 16
             for i in range(0, n + 1, step):
                 j = min(i + step, n + 1)
-                if s[i:j] != array("q", range(i * m, j * m, m)):
+                if s[i:j] != array(s.typecode, range(i * m, j * m, m)):
                     return None
         return m
 
@@ -171,7 +193,8 @@ class Solutions(_Rows):
             raise AttributeError("__array_interface__")
         return {
             "shape": (len(self), m),
-            "typestr": f"{'<' if sys.byteorder == 'little' else '>'}i{self.rows.itemsize}",
+            "typestr": f"{'<' if sys.byteorder == 'little' else '>'}"
+            f"{'i' if self.rows.typecode.islower() else 'u'}{self.rows.itemsize}",
             "data": memoryview(self.rows).toreadonly(),
             "version": 3,
         }

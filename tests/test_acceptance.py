@@ -50,6 +50,21 @@ SOLVER_BUDGETS = {
     "G_{6,1}": 12990.0,
 }
 
+# nodes to exhaust each row's search with max_solutions=1: the column rule
+# and row order fix them, so a kernel change must leave them as they are
+SOLVER_NODES = {
+    "G_{3,3}": 1,
+    "G_{4,4}": 4,
+    "G_{6,2}": 25_904,
+    "G_{6,3}": 6_121,
+    "G_{8,1}": 8_830_102,
+    "G_{9,1}": 9_347_931,
+    "G_{8,3}": 68_735_771,
+    "G_{8,2}": 117_839_014,
+    "G_{9,2}": 154_228_394,
+    "G_{6,1}": 99_937_326,
+}
+
 EXPECT_ZERO_ROW = {"G_{4,2}", "G_{4,3}", "G_{4,5}", "G_{4,6}", "G_{4,7}", "G_{7,1}"}
 EXPECT_ORBIT_SUM = {"G_{7,2}", "G_{31}"}
 
@@ -107,6 +122,7 @@ def test_criterion_4_solver_eliminations(pipelines):
         )
         assert result.status is Status.UNSAT, detail
         assert result.elapsed <= budget, detail
+        assert result.nodes == SOLVER_NODES[name], detail
 
 
 def test_criterion_5_counting_census():

@@ -9,12 +9,13 @@ import subprocess
 import sys
 import textwrap
 import time
+from array import array
 from pathlib import Path
 
 import pytest
 
 import gf2designs
-from gf2designs import _dlx_py
+from gf2designs import _dlx_py, catalog
 from gf2designs.cover import (
     CoverProblem,
     ForcedConflictError,
@@ -30,6 +31,7 @@ from gf2designs.gf2 import GF2Matrix
 from gf2designs.grassmannian import enumerate_subspaces
 from gf2designs.km import build_km_matrix, reduce_km, to_cover_problem
 from gf2designs.orbits import group_closure
+from gf2designs.packed import Solutions
 
 KNUTH_ROWS = ((2, 4, 5), (0, 3, 6), (1, 2, 5), (0, 3), (1, 6), (3, 4, 6))
 
@@ -149,6 +151,63 @@ def test_backends_agree_node_for_node(monkeypatch):
             for cap in (1 << 62, 2, 1):
                 args = (p.n_cols, list(p.rows), cons, cap, -1.0)
                 assert _dlx.solve(*args) == _dlx_py.solve(*args)
+
+
+def wide_problem(rng, with_counts):
+    """65 to 200 rows of 3 to 6 columns around one planted exact cover,
+    so every bitset spans two to four 64-bit words."""
+    n_cols = rng.randrange(24, 41)
+    perm = rng.sample(range(n_cols), n_cols)
+    rows = []
+    while perm:
+        k = rng.randrange(3, 7)
+        rows.append(tuple(sorted(perm[:k])))
+        perm = perm[k:]
+    planted = len(rows)
+    n_rows = rng.randrange(65, 201)
+    while len(rows) < n_rows:
+        rows.append(tuple(sorted(rng.sample(range(n_cols), rng.randrange(3, 7)))))
+    order = rng.sample(range(n_rows), n_rows)
+    rows = [rows[i] for i in order]
+    cons = []
+    if with_counts:
+        # targets the planted cover meets, then maybe one drawn at random
+        for _ in range(rng.randrange(1, 4)):
+            members = rng.sample(range(n_rows), rng.randrange(1, n_rows + 1))
+            cons.append((tuple(sorted(members)), sum(order[j] < planted for j in members)))
+        if rng.getrandbits(1):
+            members = rng.sample(range(n_rows), rng.randrange(1, n_rows + 1))
+            cons.append((tuple(sorted(members)), rng.randrange(0, 4)))
+    return n_cols, rows, cons
+
+
+@needs_cc
+def test_backends_agree_node_for_node_on_wide_instances():
+    from gf2designs import _dlx
+
+    rng = random.Random(104)
+    for trial in range(100):
+        n_cols, rows, cons = wide_problem(rng, with_counts=bool(trial % 2))
+        for cap in (1 << 62, 2, 1):
+            args = (n_cols, rows, cons, cap, -1.0)
+            assert _dlx.solve(*args) == _dlx_py.solve(*args)
+    # the reduced criterion-4 problems of G_{6,3} and G_{6,2}: 17 and 19 words
+    for name, n_rows, nodes in (("G_{6,3}", 1080, 6121), ("G_{6,2}", 1171, 25904)):
+        group = catalog.load_group(name).closure()
+        p = to_cover_problem(reduce_km(build_km_matrix(group, 2, 3, 7), 1), 1)
+        assert (p.n_rows, p.count_constraints) == (n_rows, ())
+        args = (p.n_cols, list(p.rows), [], 1, -1.0)
+        assert _dlx.solve(*args) == _dlx_py.solve(*args) == (_dlx.EXHAUSTED, [], nodes)
+
+
+@needs_cc
+def test_kernel_compiles_cleanly_with_warnings_as_errors():
+    source = Path(gf2designs.__file__).with_name("dlx_kernel.c")
+    proc = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @needs_cc
@@ -295,6 +354,22 @@ def test_kernel_rejects_a_short_solution_buffer():
     assert flushed == []
     assert call(7, 1) == _dlx.EXHAUSTED
     assert flushed == [([0, 3, 4], [3])]
+
+
+@needs_cc
+def test_flush_widens_end_offsets_past_32_bits():
+    from gf2designs import _dlx
+
+    # as if 2**32 - 2 row ids were stored already: a batch of three rows
+    # ending past 2**32 widens the offsets and keeps every row
+    rows, ends = array("i", [5, 0, 9]), array("q", [(1 << 32) + 1])
+    solutions, failed = Solutions.over(10), []
+    solutions.starts[0] = (1 << 32) - 2
+    receiver = _dlx._receive(rows, ends, solutions, failed)
+    next(receiver)
+    assert receiver.send(1) == 0 and not failed
+    assert list(solutions.starts) == [(1 << 32) - 2, (1 << 32) + 1]
+    assert list(solutions.rows) == [5, 0, 9]
 
 
 def test_kernel_benchmark_script_runs():

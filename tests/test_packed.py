@@ -7,7 +7,7 @@ import pytest
 from conftest import G5_GEN
 from gf2designs.km import build_km_matrix, reduce_km
 from gf2designs.orbits import group_closure, orbits
-from gf2designs.packed import IntRows, PairRows, Solutions, packed
+from gf2designs.packed import IntRows, PairRows, Solutions, narrowed, packed
 
 
 def test_packed_picks_the_narrowest_item_type():
@@ -131,6 +131,22 @@ def test_array_interface_only_for_equal_nonempty_rows():
     # equal lengths in the first chunk of offsets checked, ragged after it
     long = Solutions.of([(i,) for i in range(1 << 16)] + [(0, 1), ()])
     assert not hasattr(long, "__array_interface__")
+
+
+def test_search_solutions_are_stored_narrow():
+    assert [Solutions.over(n).rows.typecode for n in (0, 256, 257, 1 << 16)] == list("BBHH")
+    assert Solutions.over((1 << 16) + 1).rows.itemsize >= 4
+    s = Solutions.over(300)
+    assert s.starts.typecode == "I" and s.starts_for(5) is s.starts
+    s.rows.extend([299, 3])
+    s.starts_for(2).append(2)
+    assert s == ((299, 3),) and s.__array_interface__["typestr"][1:] == "u2"
+    # an offset past 32 bits widens the offsets, keeping those stored
+    s.starts_for(1 << 32).append(1 << 32)
+    assert s.starts.typecode == "Q" and list(s.starts) == [0, 2, 1 << 32]
+    assert list(narrowed(array("i", [0, 299, 65535]), "H")) == [0, 299, 65535]
+    assert list(narrowed(array("q", [7, (1 << 32) - 1]), "I")) == [7, (1 << 32) - 1]
+    assert list(narrowed(array("q", [7, 1 << 40]), "Q")) == [7, 1 << 40]
 
 
 @pytest.mark.parametrize(
